@@ -6,9 +6,8 @@ spike error), plus the Kendall-snake machinery the larger construction
 feeds on, verification tooling and exhaustive search oracles.
 """
 
-from .blocks import NoncyclicBlock, ksnake_block, rmgc_block
+from .blocks import ksnake_block, rmgc_block
 from .constructions import (
-    GrayCode,
     SizeTable,
     ksnake_snake_start,
     rmgc_snake_start,
@@ -19,7 +18,7 @@ from .constructions import (
 )
 from .errors import InvalidTransitionError, ParseError, VerificationError
 from .ksnake import (
-    KendallSnake,
+    build_ksnake,
     embedded_a5_snake,
     load_ksnake,
     parse_ksnake,
@@ -27,6 +26,7 @@ from .ksnake import (
     transport,
 )
 from .perm import (
+    GrayCode,
     apply_sequence,
     apply_transition,
     compose,
@@ -46,8 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GrayCode",
     "InvalidTransitionError",
-    "KendallSnake",
-    "NoncyclicBlock",
     "ParseError",
     "RmgcSequence",
     "SizeTable",
@@ -56,6 +54,7 @@ __all__ = [
     "apply_sequence",
     "apply_transition",
     "base_t3",
+    "build_ksnake",
     "build_rmgc",
     "compose",
     "embedded_a5_snake",

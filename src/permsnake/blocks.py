@@ -1,8 +1,9 @@
 """Noncyclic snake blocks: the building material for the cyclic snakes.
 
-Both builders produce a segment of permutations in which every pair is at
-Chebyshev distance >= 2, with a prescribed start and end shape so that
-segments can be chained by a single boundary push.
+Both builders return a noncyclic ``GrayCode``: a segment of permutations
+in which every pair is at Chebyshev distance >= 2, with a prescribed
+start and ``end`` shape so that segments can be chained by a single
+boundary push.
 
 ``rmgc_block`` rearranges the k = floor(n/2) even values sitting in the
 front of the word through a full complete Gray code, while the odd values
@@ -21,11 +22,9 @@ odd-one-out with a neighbouring value, which flips parity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
-from .perm import Perm, apply_sequence, check_perm
+from .perm import METRIC_LINF, GrayCode, check_perm
 from .rmgc import build_rmgc, rotate_after
 
 # Rotation anchors for the two block variants.  The front-segment Gray
@@ -35,32 +34,11 @@ from .rmgc import build_rmgc, rotate_after
 _VARIANT1_ANCHOR = 2
 
 
-@dataclass(frozen=True)
-class NoncyclicBlock:
-    """A noncyclic snake segment: start, transitions, recorded end."""
-
-    start: Perm
-    transitions: tuple[int, ...]
-    end: Perm
-
-    @property
-    def size(self) -> int:
-        return len(self.transitions) + 1
-
-    @cached_property
-    def _codewords(self) -> tuple[Perm, ...]:
-        return tuple(apply_sequence(self.start, self.transitions))
-
-    def codewords(self) -> list[Perm]:
-        """All permutations of the block, recomputed from the transitions."""
-        return list(self._codewords)
-
-
 def _shape_error(clause: str, sigma: Sequence[int]) -> ValueError:
     return ValueError(f"start permutation {list(sigma)} violates: {clause}")
 
 
-def rmgc_block(sigma: Sequence[int], variant: int) -> NoncyclicBlock:
+def rmgc_block(sigma: Sequence[int], variant: int) -> GrayCode:
     """Block of size k!+k over the even values in front, k = floor(n/2).
 
     Requires sigma = [b1, a2, ..., ak, a1, b2, ..., bl] with the a's the
@@ -93,22 +71,23 @@ def rmgc_block(sigma: Sequence[int], variant: int) -> NoncyclicBlock:
     anchor = _VARIANT1_ANCHOR if variant == 1 else k * k - k
     rotation = rotate_after(front_code, anchor)
     # Sanity: the dropped final transition fixes the end shape.
-    assert rotation[-1] == (k if variant == 1 else k - 1)
+    if rotation[-1] != (k if variant == 1 else k - 1):
+        raise AssertionError(f"rotation ends on t_{rotation[-1]}, not the variant's anchor")
 
     transitions = (k,) * (k - 1) + (k + 1,) + rotation[: math.factorial(k) - 1]
-    chain = apply_sequence(sigma, transitions)
-    end = chain[-1]
+    block = GrayCode(n, sigma, transitions, cyclic=False, metric_tag=METRIC_LINF)
 
     front = sigma[1 : k + 1]  # (a2, ..., ak, a1)
     if variant == 1:
         expected_end = front + (b1,) + sigma[k + 1 :]
     else:
         expected_end = front[: k - 2] + (a1, front[k - 2], b1) + sigma[k + 1 :]
-    assert end == expected_end, "front Gray code did not land on the expected shape"
-    return NoncyclicBlock(sigma, transitions, end)
+    if block.end != expected_end:
+        raise AssertionError("front Gray code did not land on the expected shape")
+    return block
 
 
-def ksnake_block(sigma: Sequence[int], snake_seq: Sequence[int]) -> NoncyclicBlock:
+def ksnake_block(sigma: Sequence[int], snake_seq: Sequence[int]) -> GrayCode:
     """Block from a cyclic Kendall-snake sequence acting on positions 1..l+1.
 
     Requires sigma = [a1, b1, ..., bl, a2, ..., ak] where the a's share one
@@ -146,13 +125,11 @@ def ksnake_block(sigma: Sequence[int], snake_seq: Sequence[int]) -> NoncyclicBlo
             f"last transition must be t_{l + 1} to restore the front, got t_{seq[-1]}"
         )
 
-    transitions = seq[:-1]
-    chain = apply_sequence(sigma, transitions)
-    end = chain[-1]
+    block = GrayCode(n, sigma, seq[:-1], cyclic=False, metric_tag=METRIC_LINF)
     expected_end = sigma[1 : l + 1] + (sigma[0],) + sigma[l + 1 :]
-    if end != expected_end:
+    if block.end != expected_end:
         raise ValueError(
             "transition sequence is not cyclic over the front segment: "
-            f"ended at {list(end)}, expected {list(expected_end)}"
+            f"ended at {list(block.end)}, expected {list(expected_end)}"
         )
-    return NoncyclicBlock(sigma, transitions, end)
+    return block

@@ -7,16 +7,12 @@ mismatch, 2 parse, I/O or precondition errors.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
 from . import figures as figmod
 from .blocks import ksnake_block, rmgc_block
 from .constructions import (
-    GrayCode,
-    METRIC_KENDALL,
-    METRIC_LINF,
     ksnake_snake_start,
     rmgc_snake_start,
     size_table,
@@ -36,15 +32,15 @@ from .documents import (
 )
 from .errors import ParseError, VerificationError
 from .ksnake import (
-    KendallSnake,
     embedded_a5_snake,
     format_ksnake,
     load_ksnake,
     parse_ksnake_fields,
     search_ksnake,
+    verify_snake,
 )
-from .perm import apply_sequence, format_perm, identity
-from .rmgc import build_rmgc
+from .perm import METRIC_KENDALL, METRIC_LINF, GrayCode, format_perm
+from .rmgc import build_rmgc, complete_and_cyclic
 from .verify import exhaustive_max_snake, verify_code
 
 ABSENT = "—"  # table placeholder for sizes without a construction
@@ -74,7 +70,7 @@ def _sizes_row(n: int) -> str:
     return ",".join(cells)
 
 
-def _load_snake_source(args: argparse.Namespace) -> KendallSnake:
+def _load_snake_source(args: argparse.Namespace) -> GrayCode:
     if args.embedded and args.ksnake:
         raise ValueError("pass either --embedded or --ksnake, not both")
     if args.embedded:
@@ -90,11 +86,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
     if args.method == "rmgc":
         r = build_rmgc(n)
-        ok = True
-        if n <= 8:
-            chain = apply_sequence(identity(n), r.seq)
-            ok = chain[-1] == chain[0] and len(set(chain[:-1])) == math.factorial(n)
-        if not ok:
+        if n <= 8 and not all(complete_and_cyclic(r)):
             _info("refusing to emit: sequence is not complete and cyclic", True)
             return 1
         _info(f"size={len(r.seq)} complete cyclic {n}-RMGC", info_to_stderr)
@@ -106,12 +98,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.method == "thm2":
         code = snake_from_ksnake(n, _load_snake_source(args))
     elif args.method == "lemma3":
-        block = rmgc_block(rmgc_snake_start(n), args.variant)
-        code = GrayCode(n, block.start, block.transitions, False, METRIC_LINF)
+        code = rmgc_block(rmgc_snake_start(n), args.variant)
     elif args.method == "lemma7":
-        snake = _load_snake_source(args)
-        block = ksnake_block(ksnake_snake_start(n), snake.transitions)
-        code = GrayCode(n, block.start, block.transitions, False, METRIC_LINF)
+        code = ksnake_block(ksnake_snake_start(n), _load_snake_source(args).transitions)
     else:  # pragma: no cover - argparse constrains the choices
         raise AssertionError(args.method)
 
@@ -130,17 +119,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_snake_text(text: str, mode: str | None) -> int:
-    doc = parse_document(text)
-    report = verify_code(doc.code, mode)
-    print(report.render())
-    print(report.summary_line())
-    return 0 if report.valid else 1
-
-
-def _verify_ksnake_text(text: str, mode: str | None) -> int:
-    n, start, transitions = parse_ksnake_fields(text)
-    code = GrayCode(n, start, transitions, True, METRIC_KENDALL)
+def _print_verdict(code: GrayCode, mode: str | None) -> int:
     report = verify_code(code, mode)
     print(report.render())
     print(report.summary_line())
@@ -149,9 +128,7 @@ def _verify_ksnake_text(text: str, mode: str | None) -> int:
 
 def _verify_rmgc_text(text: str) -> int:
     r = parse_rmgc_document(text)
-    chain = apply_sequence(identity(r.n), r.seq)
-    complete = len(set(chain[:-1])) == math.factorial(r.n)
-    cyclic = chain[-1] == chain[0]
+    complete, cyclic = complete_and_cyclic(r)
     ok = complete and cyclic
     print(
         f"valid={str(ok).lower()} size={len(r.seq)} complete={str(complete).lower()} "
@@ -165,9 +142,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         text = fh.read()
     kind = detect_kind(text)
     if kind == KIND_SNAKE:
-        return _verify_snake_text(text, args.mode)
+        return _print_verdict(parse_document(text).code, args.mode)
     if kind == KIND_KSNAKE:
-        return _verify_ksnake_text(text, args.mode)
+        return _print_verdict(parse_ksnake_fields(text), args.mode)
     if kind == KIND_RMGC:
         return _verify_rmgc_text(text)
     raise ParseError(f"unrecognised document kind {kind!r}")
@@ -239,11 +216,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_import_ksnake(args: argparse.Namespace) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         text = fh.read()
-    n, start, transitions = parse_ksnake_fields(text)
-    snake = KendallSnake.build(n, start, transitions)
-    code = GrayCode(n, start, transitions, True, METRIC_KENDALL)
-    print(verify_code(code).summary_line())
-    print(f"start={format_perm(snake.start)} last_transition=t{transitions[-1]}")
+    snake = parse_ksnake_fields(text)
+    print(verify_snake(snake).summary_line())
+    print(f"start={format_perm(snake.start)} last_transition=t{snake.transitions[-1]}")
     if args.out:
         _write_out(format_ksnake(snake), args.out)
     return 0

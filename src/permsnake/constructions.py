@@ -19,46 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .blocks import ksnake_block, rmgc_block
-from .ksnake import KendallSnake
-from .perm import Perm, apply_sequence, apply_transition, check_perm
+from .perm import METRIC_LINF, GrayCode, Perm, apply_transition, check_perm
 from .rmgc import build_rmgc
 
 RMGC_SNAKE_MAX_N = 12  # n=12 already materialises 522,720 codewords
-
-METRIC_LINF = "linf"
-METRIC_KENDALL = "kendall"
-
-
-@dataclass(frozen=True)
-class GrayCode:
-    """A Gray code given by start, transitions and a cyclic flag.
-
-    Codewords are always derived from the transitions, never stored as
-    the source of truth.  For a cyclic code the final transition maps the
-    last codeword back to the start; a noncyclic code has size
-    len(transitions) + 1.
-    """
-
-    n: int
-    start: Perm
-    transitions: tuple[int, ...]
-    cyclic: bool
-    metric_tag: str
-
-    @property
-    def size(self) -> int:
-        return len(self.transitions) if self.cyclic else len(self.transitions) + 1
-
-    @cached_property
-    def _codewords(self) -> tuple[Perm, ...]:
-        chain = apply_sequence(self.start, self.transitions)
-        return tuple(chain[:-1]) if self.cyclic else tuple(chain)
-
-    def codewords(self) -> list[Perm]:
-        return list(self._codewords)
 
 
 @dataclass(frozen=True)
@@ -129,7 +95,8 @@ def snake_from_rmgc(n: int) -> GrayCode:
     for idx in tail_code.seq:
         pushed = cur[idx + q - 1]  # odd value the next boundary will push
         at_q1 = cur[q]
-        assert at_q1 in (2 * q, 2), f"position {q + 1} holds {at_q1}"
+        if at_q1 not in (2 * q, 2):
+            raise AssertionError(f"position {q + 1} holds {at_q1}")
         if abs(pushed - 2 * q) != 1:
             variant = 1 if at_q1 == 2 * q else 2
         else:
@@ -139,7 +106,8 @@ def snake_from_rmgc(n: int) -> GrayCode:
         boundary = idx + q
         transitions.append(boundary)
         cur = apply_transition(block.end, boundary)
-    assert cur == sigma0, "boundary Gray code failed to close"
+    if cur != sigma0:
+        raise AssertionError("boundary Gray code failed to close")
     return GrayCode(n, sigma0, tuple(transitions), cyclic=True, metric_tag=METRIC_LINF)
 
 
@@ -154,7 +122,7 @@ def ksnake_snake_start(n: int) -> Perm:
     raise ValueError(f"n={n} is not of the form 4k+1 or 4k+3")
 
 
-def snake_from_ksnake(n: int, snake: KendallSnake) -> GrayCode:
+def snake_from_ksnake(n: int, snake: GrayCode) -> GrayCode:
     """Cyclic snake of size snake.size * (2k+1)! built from a Kendall snake.
 
     For n = 4k+1 the snake must cover 2k+1 symbols (the 2k even values
@@ -193,5 +161,6 @@ def snake_from_ksnake(n: int, snake: KendallSnake) -> GrayCode:
         boundary = idx + shift
         transitions.append(boundary)
         cur = apply_transition(block.end, boundary)
-    assert cur == sigma0, "boundary Gray code failed to close"
+    if cur != sigma0:
+        raise AssertionError("boundary Gray code failed to close")
     return GrayCode(n, sigma0, tuple(transitions), cyclic=True, metric_tag=METRIC_LINF)

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constructions import GrayCode
 from .errors import ParseError, VerificationError
 from .perm import (
+    GrayCode,
     format_perm,
     format_transitions,
     parse_perm,
@@ -98,6 +98,8 @@ def parse_document(text: str) -> CodeDocument:
         raise ParseError(f"bad snake header: {lines[0]!r}") from exc
     if metric not in ("linf", "kendall"):
         raise ParseError(f"unknown metric {metric!r}")
+    if cyclic and size < 1:
+        raise ParseError(f"a cyclic snake needs size >= 1, got size={size}")
     if len(lines) < 3:
         raise ParseError("snake document needs a start line and transitions")
     try:

@@ -15,14 +15,13 @@ from importlib import resources
 
 from .blocks import ksnake_block, rmgc_block
 from .constructions import (
-    GrayCode,
     ksnake_snake_start,
     rmgc_snake_start,
     snake_from_ksnake,
     snake_from_rmgc,
 )
 from .ksnake import embedded_a5_snake
-from .perm import format_perm
+from .perm import GrayCode, format_perm
 
 FIGURE_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5")
 

@@ -6,7 +6,8 @@ Kendall condition comes for free (two same-parity permutations are never
 at Kendall distance 1), so a coset snake is exactly a vertex-distinct
 cycle through parity-preserving push-to-the-top moves, i.e. moves t_i
 with odd i.  Construction paths never trust this reasoning, though:
-every snake returned by this module is verified from scratch.
+every snake returned by this module is a cyclic Kendall-tagged
+``GrayCode`` that ``build_ksnake`` has fully re-verified.
 
 The embedded 5-symbol snake of size 57 = 5!/2 - 3 is three repeats of a
 19-transition core using only t_3 and t_5; its last transition is t_5,
@@ -15,15 +16,13 @@ which is what the block builders downstream require.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
-from . import _pairdist
 from .errors import ParseError, VerificationError
 from .perm import (
+    METRIC_KENDALL,
+    GrayCode,
     Perm,
-    apply_sequence,
     apply_transition,
     check_perm,
     format_perm,
@@ -33,88 +32,62 @@ from .perm import (
     parse_perm,
     parse_transitions,
 )
+from .verify import MODE_EXHAUSTIVE, SnakeReport, verify_code
 
 EMBEDDED_CORE = (3, 3, 5, 3, 3, 5, 3, 5, 5, 3, 3, 5, 3, 3, 5, 3, 5, 5, 5)
 
 
-@dataclass(frozen=True)
-class KendallSnake:
-    """A verified cyclic Kendall snake: start plus full cyclic transitions."""
-
-    n: int
-    start: Perm
-    transitions: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.transitions)
-
-    @cached_property
-    def _codewords(self) -> tuple[Perm, ...]:
-        return tuple(apply_sequence(self.start, self.transitions)[:-1])
-
-    def codewords(self) -> list[Perm]:
-        return list(self._codewords)
-
-    @staticmethod
-    def build(n: int, start: Sequence[int], transitions: Sequence[int]) -> "KendallSnake":
-        """Construct with full verification; raises VerificationError."""
-        start = check_perm(start)
-        if len(start) != n:
-            raise VerificationError(f"start has length {len(start)}, expected n={n}")
-        snake = KendallSnake(n, start, tuple(transitions))
-        verify_snake(snake)
-        return snake
+def build_ksnake(n: int, start: Sequence[int], transitions: Sequence[int]) -> GrayCode:
+    """A verified cyclic Kendall snake; raises VerificationError otherwise."""
+    start = check_perm(start)
+    if len(start) != n:
+        raise VerificationError(f"start has length {len(start)}, expected n={n}")
+    snake = GrayCode(n, start, tuple(transitions), cyclic=True, metric_tag=METRIC_KENDALL)
+    verify_snake(snake)
+    return snake
 
 
-def verify_snake(snake: KendallSnake) -> None:
-    """Distinctness, cyclic closure, min Kendall distance and parity checks."""
-    chain = apply_sequence(snake.start, snake.transitions)
-    if len(chain) < 2:
+def verify_snake(snake: GrayCode) -> SnakeReport:
+    """Kendall-snake acceptance: an exhaustive ``verify_code``, then parity.
+
+    Raises VerificationError naming the first failure (closure, duplicate,
+    distance, parity, in that order); returns the passing report.
+    """
+    if not snake.transitions:
         raise VerificationError("a cyclic snake needs at least one transition")
-    if chain[-1] != chain[0]:
+    report = verify_code(snake, MODE_EXHAUSTIVE)
+    if not report.cyclic_ok:
         raise VerificationError(
-            f"sequence does not close: ends at {list(chain[-1])}, "
-            f"started at {list(chain[0])}"
+            f"sequence does not close: ends at {list(snake.end)}, "
+            f"started at {list(snake.start)}"
         )
-    codewords = chain[:-1]
-    dup = _pairdist.find_duplicate(codewords)
-    if dup is not None:
-        raise VerificationError(f"codewords {dup[0]} and {dup[1]} coincide")
-    min_d, violations, _ = _pairdist.min_pairwise_kendall(codewords)
-    if violations:
-        (i, j), d = violations[0]
-        raise VerificationError(
-            f"codewords {i} and {j} are at Kendall distance {d} < 2"
-        )
-    assert min_d is None or min_d >= 2
-    p0 = parity(codewords[0])
-    for idx, c in enumerate(codewords):
+    if not report.valid:
+        (i, j), d = report.violations[0]
+        what = "coincide" if not report.distinct else f"are at Kendall distance {d} < 2"
+        raise VerificationError(f"codewords {i} and {j} {what}")
+    p0 = parity(snake.start)
+    for idx, c in enumerate(snake.codewords()):
         if parity(c) != p0:
             raise VerificationError(f"codeword {idx} breaks the uniform parity")
+    return report
 
 
-def embedded_a5_snake() -> KendallSnake:
+def embedded_a5_snake() -> GrayCode:
     """The 5-symbol snake of size 57, anchored at the identity start."""
-    return KendallSnake.build(5, identity(5), EMBEDDED_CORE * 3)
+    return build_ksnake(5, identity(5), EMBEDDED_CORE * 3)
 
 
-def transport(snake: KendallSnake, new_start: Sequence[int]) -> KendallSnake:
+def transport(snake: GrayCode, new_start: Sequence[int]) -> GrayCode:
     """Re-anchor a snake at a different start permutation.
 
     The Kendall metric is right invariant, so the same transition sequence
     gives a snake of equal size and equal pairwise distances from any
     start; the result is verified anyway.
     """
-    new_start = check_perm(new_start)
-    if len(new_start) != snake.n:
-        raise ValueError(
-            f"new start has length {len(new_start)}, snake is over {snake.n} symbols"
-        )
-    return KendallSnake.build(snake.n, new_start, snake.transitions)
+    return build_ksnake(snake.n, new_start, snake.transitions)
 
 
-def format_ksnake(snake: KendallSnake) -> str:
+def format_ksnake(snake: GrayCode) -> str:
     """Text form: header, start permutation, one line of transitions."""
     return (
         f"ksnake n={snake.n} size={snake.size}\n"
@@ -123,8 +96,8 @@ def format_ksnake(snake: KendallSnake) -> str:
     )
 
 
-def parse_ksnake_fields(text: str) -> tuple[int, Perm, tuple[int, ...]]:
-    """Parse the ksnake text format without verifying snake properties."""
+def parse_ksnake_fields(text: str) -> GrayCode:
+    """Parse the ksnake text format into a snake whose properties are unverified."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError("empty ksnake file")
@@ -150,20 +123,21 @@ def parse_ksnake_fields(text: str) -> tuple[int, Perm, tuple[int, ...]]:
         raise ParseError(
             f"header says size={size} but {len(transitions)} transitions follow"
         )
-    return n, start, transitions
+    return GrayCode(n, start, transitions, cyclic=True, metric_tag=METRIC_KENDALL)
 
 
-def parse_ksnake(text: str) -> KendallSnake:
+def parse_ksnake(text: str) -> GrayCode:
     """Parse and fully verify the ksnake text format.
 
     Malformed text raises ParseError; a well-formed file whose sequence is
     not a Kendall snake raises VerificationError naming the first failure.
     """
-    n, start, transitions = parse_ksnake_fields(text)
-    return KendallSnake.build(n, start, transitions)
+    snake = parse_ksnake_fields(text)
+    verify_snake(snake)
+    return snake
 
 
-def load_ksnake(path: str) -> KendallSnake:
+def load_ksnake(path: str) -> GrayCode:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_ksnake(fh.read())
 
@@ -173,7 +147,7 @@ def search_ksnake(
     target: int,
     budget: int = 1_000_000,
     stats: dict | None = None,
-) -> KendallSnake | None:
+) -> GrayCode | None:
     """Depth-first search for a cyclic Kendall snake of size >= target.
 
     The start is pinned to the identity (right invariance makes the start
@@ -249,7 +223,7 @@ def search_ksnake(
         stats["exhausted"] = exhausted and found is None
     if found is None:
         return None
-    return KendallSnake.build(n, start, found)
+    return build_ksnake(n, start, found)
 
 
 def _reachable_upper_bound(

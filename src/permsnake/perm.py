@@ -14,11 +14,16 @@ Conventions used everywhere in this package:
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidTransitionError
 
 Perm = tuple[int, ...]
+
+METRIC_LINF = "linf"
+METRIC_KENDALL = "kendall"
 
 
 def identity(n: int) -> Perm:
@@ -69,6 +74,41 @@ def apply_sequence(p: Perm, transitions: Sequence[int]) -> list[Perm]:
         cur = apply_transition(cur, i)
         out.append(cur)
     return out
+
+
+@dataclass(frozen=True)
+class GrayCode:
+    """A Gray code given by start, transitions and a cyclic flag.
+
+    Codewords are always derived from the transitions, never stored as
+    the source of truth.  For a cyclic code the final transition maps the
+    last codeword back to the start; a noncyclic code has size
+    len(transitions) + 1.  Snake blocks are noncyclic Gray codes and
+    Kendall snakes are cyclic ones tagged with the Kendall metric.
+    """
+
+    n: int
+    start: Perm
+    transitions: tuple[int, ...]
+    cyclic: bool
+    metric_tag: str
+
+    @property
+    def size(self) -> int:
+        return len(self.transitions) if self.cyclic else len(self.transitions) + 1
+
+    @cached_property
+    def end(self) -> Perm:
+        """The word reached after every transition, without materialising codewords."""
+        return apply_sequence(self.start, self.transitions)[-1]
+
+    @cached_property
+    def _codewords(self) -> tuple[Perm, ...]:
+        chain = apply_sequence(self.start, self.transitions)
+        return tuple(chain[:-1]) if self.cyclic else tuple(chain)
+
+    def codewords(self) -> list[Perm]:
+        return list(self._codewords)
 
 
 def compose(p: Perm, q: Perm) -> Perm:

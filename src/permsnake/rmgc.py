@@ -12,8 +12,8 @@ The base case is the hand-rolled 3-sequence (t3 t3 t2 t3 t3 t2).
 
 Three positions of the built sequence are fixed and load-bearing for the
 block constructions downstream: position 1 holds t_n, position n holds
-t_2, and position n^2-n holds t_{n-1}.  ``build_rmgc`` asserts them on
-every build rather than trusting the recursion.
+t_2, and position n^2-n holds t_{n-1}.  ``build_rmgc`` checks them on
+every build, also under ``python -O``, rather than trusting the recursion.
 """
 from __future__ import annotations
 
@@ -21,6 +21,8 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+from .perm import apply_sequence, identity
 
 BASE_N = 3
 MAX_N = 10  # 10! = 3,628,800 transitions; larger sequences are refused
@@ -73,11 +75,12 @@ def build_rmgc(n: int) -> RmgcSequence:
 
 def _assert_special_positions(r: RmgcSequence) -> None:
     n = r.n
-    assert r.seq[0] == n, f"position 1 of the {n}-RMGC is not t_{n}"
-    assert r.seq[n - 1] == 2, f"position {n} of the {n}-RMGC is not t_2"
-    assert r.seq[n * (n - 1) - 1] == n - 1, (
-        f"position {n * (n - 1)} of the {n}-RMGC is not t_{n - 1}"
-    )
+    if r.seq[0] != n:
+        raise AssertionError(f"position 1 of the {n}-RMGC is not t_{n}")
+    if r.seq[n - 1] != 2:
+        raise AssertionError(f"position {n} of the {n}-RMGC is not t_2")
+    if r.seq[n * (n - 1) - 1] != n - 1:
+        raise AssertionError(f"position {n * (n - 1)} of the {n}-RMGC is not t_{n - 1}")
 
 
 def special_positions(r: RmgcSequence) -> tuple[int, int, int]:
@@ -101,12 +104,7 @@ def rotate_after(r: RmgcSequence | Sequence[int], s: int) -> tuple[int, ...]:
     return seq[s:] + seq[:s]
 
 
-def export_rmgc(r: RmgcSequence, header: bool = True) -> str:
-    """Text form: optional header line, then one transition per token."""
-    lines = []
-    if header:
-        lines.append(f"rmgc n={r.n} len={len(r.seq)}")
-    body = [str(i) for i in r.seq]
-    for start in range(0, len(body), 30):
-        lines.append(" ".join(body[start : start + 30]))
-    return "\n".join(lines) + "\n"
+def complete_and_cyclic(r: RmgcSequence) -> tuple[bool, bool]:
+    """Whether r, run from the identity, visits all n! words and returns to it."""
+    chain = apply_sequence(identity(r.n), r.seq)
+    return len(set(chain[:-1])) == math.factorial(r.n), chain[-1] == chain[0]

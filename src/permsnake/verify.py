@@ -18,8 +18,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import _pairdist
-from .constructions import METRIC_KENDALL, METRIC_LINF, GrayCode, snake_upper_bound
+from .constructions import snake_upper_bound
 from .perm import (
+    METRIC_KENDALL,
+    METRIC_LINF,
+    GrayCode,
     Perm,
     apply_transition,
     identity,
@@ -97,7 +100,13 @@ def _sampled_scan(
 
 
 def verify_code(code: GrayCode, mode: str | None = None) -> SnakeReport:
-    """Verify a Gray code; all findings land in the report, nothing raises.
+    """Verify a Gray code; every defect of the code lands in the report.
+
+    Duplicates, a failed or missing closure (an empty cyclic code) and
+    close pairs are reported, not raised.  Input that does not describe a
+    code raises: an unknown mode raises ValueError, and a transition
+    outside 2..n raises InvalidTransitionError while the codewords are
+    derived.
 
     mode None picks exhaustive up to EXHAUSTIVE_LIMIT codewords, sampled
     above.  The sampled scan can miss a distant bad pair; the report's
@@ -118,8 +127,10 @@ def verify_code(code: GrayCode, mode: str | None = None) -> SnakeReport:
 
     cyclic_ok: bool | None = None
     if code.cyclic:
-        closing = apply_transition(codewords[-1], code.transitions[-1])
-        cyclic_ok = closing == codewords[0]
+        # An empty cyclic code has no closing transition to apply.
+        cyclic_ok = m > 0 and (
+            apply_transition(codewords[-1], code.transitions[-1]) == codewords[0]
+        )
 
     if mode == MODE_EXHAUSTIVE:
         kernel = (

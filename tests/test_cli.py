@@ -117,6 +117,20 @@ def test_verify_documents(tmp_path, capsys):
     assert rc == 2
 
 
+def test_verify_malformed_documents_exit_2_with_one_line(tmp_path, capsys):
+    docs = {
+        "empty cyclic": "snake n=3 size=0 metric=linf cyclic=true method=x\n1 2 3\ncodewords:\n",
+        "out of range": "snake n=3 size=2 metric=linf cyclic=true method=x\n1 2 3\n9 2\n",
+    }
+    for name, text in docs.items():
+        path = tmp_path / "doc.txt"
+        path.write_text(text, encoding="utf-8")
+        rc, stdout, stderr = run(capsys, "verify", str(path))
+        assert rc == 2, name
+        assert stdout == "" and len(stderr.splitlines()) == 1, name
+        assert stderr.startswith("error: ") and "Traceback" not in stderr, name
+
+
 def test_verify_ksnake_and_rmgc_files(tmp_path, capsys):
     ks = tmp_path / "snake.ksnake"
     ks.write_text(format_ksnake(embedded_a5_snake()), encoding="utf-8")

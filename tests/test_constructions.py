@@ -11,7 +11,7 @@ from permsnake.constructions import (
     snake_from_rmgc,
     snake_upper_bound,
 )
-from permsnake.ksnake import KendallSnake, embedded_a5_snake, search_ksnake
+from permsnake.ksnake import build_ksnake, embedded_a5_snake, search_ksnake
 from permsnake.perm import apply_transition, linf_distance
 from permsnake.verify import verify_code
 
@@ -136,7 +136,7 @@ def test_ksnake_snake_preconditions():
         snake_from_ksnake(5, snake)
     # A rotation of the embedded snake is still a Kendall snake but ends
     # on t_3, which the builder must refuse.
-    rotated = KendallSnake.build(
+    rotated = build_ksnake(
         5,
         (2, 3, 1, 4, 5),
         snake.transitions[2:] + snake.transitions[:2],

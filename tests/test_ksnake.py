@@ -5,7 +5,7 @@ import pytest
 from permsnake.errors import ParseError, VerificationError
 from permsnake.ksnake import (
     EMBEDDED_CORE,
-    KendallSnake,
+    build_ksnake,
     embedded_a5_snake,
     format_ksnake,
     load_ksnake,
@@ -45,14 +45,14 @@ def test_embedded_snake_is_a_kendall_snake():
 
 def test_build_rejects_broken_sequences():
     with pytest.raises(VerificationError, match="does not close"):
-        KendallSnake.build(5, identity(5), EMBEDDED_CORE * 3 + (3,))
+        build_ksnake(5, identity(5), EMBEDDED_CORE * 3 + (3,))
     with pytest.raises(VerificationError, match="coincide"):
-        KendallSnake.build(3, identity(3), (3, 3, 3, 3, 3, 3))
+        build_ksnake(3, identity(3), (3, 3, 3, 3, 3, 3))
     # t_2 steps keep Kendall distance 1 between neighbours.
     with pytest.raises(VerificationError, match="distance 1"):
-        KendallSnake.build(4, identity(4), (2, 2))
+        build_ksnake(4, identity(4), (2, 2))
     with pytest.raises(VerificationError, match="uniform parity"):
-        KendallSnake.build(4, identity(4), (4, 4, 4, 4))
+        build_ksnake(4, identity(4), (4, 4, 4, 4))
 
 
 def test_transport_identity_is_noop():

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from permsnake import rmgc
+from permsnake.documents import format_rmgc_document
 from permsnake.perm import apply_sequence, identity
 from permsnake.rmgc import (
     RmgcSequence,
     base_t3,
     build_rmgc,
-    export_rmgc,
     rotate_after,
     special_positions,
 )
@@ -105,11 +105,9 @@ def test_rotations_stay_complete_and_cyclic():
 
 
 def test_export_format():
-    text = export_rmgc(build_rmgc(4))
+    text = format_rmgc_document(build_rmgc(4))
     lines = text.splitlines()
     assert lines[0] == "rmgc n=4 len=24"
     tokens = " ".join(lines[1:]).split()
     assert len(tokens) == 24
-    assert export_rmgc(build_rmgc(3), header=False).split() == [
-        "3", "3", "2", "3", "3", "2",
-    ]
+    assert format_rmgc_document(build_rmgc(3)).splitlines()[1:] == ["3 3 2 3 3 2"]
