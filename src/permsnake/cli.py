@@ -44,6 +44,11 @@ from .rmgc import build_rmgc, complete_and_cyclic
 from .verify import exhaustive_max_snake, verify_code
 
 ABSENT = "—"  # table placeholder for sizes without a construction
+MODE_OPTION = dict(
+    choices=["exhaustive", "sampled"],
+    default=None,
+    help="accepted for compatibility; every verdict is exact (mode=exhaustive)",
+)
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -249,14 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--variant", type=int, choices=[1, 2], default=1)
     c.add_argument("--ksnake", metavar="PATH", help="Kendall snake file to consume")
     c.add_argument("--embedded", action="store_true", help="use the built-in (5,57) snake")
-    c.add_argument("--mode", choices=["exhaustive", "sampled"], default=None)
+    c.add_argument("--mode", **MODE_OPTION)
     c.add_argument("--codewords", action="store_true", help="append the codeword listing")
     c.add_argument("--out", metavar="PATH")
     c.set_defaults(func=_cmd_construct)
 
     v = sub.add_parser("verify", help="verify a snake, ksnake or rmgc document")
     v.add_argument("file")
-    v.add_argument("--mode", choices=["exhaustive", "sampled"], default=None)
+    v.add_argument("--mode", **MODE_OPTION)
     v.set_defaults(func=_cmd_verify)
 
     s = sub.add_parser("sizes", help="construction sizes and the packing bound")

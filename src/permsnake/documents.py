@@ -62,6 +62,11 @@ def _parse_header_fields(line: str, expect: str) -> dict[str, str]:
     return fields
 
 
+def _wrapped(seq: tuple[int, ...]) -> list[str]:
+    """Transition lines of _WRAP tokens, made into strings one line at a time."""
+    return [" ".join(map(str, seq[at : at + _WRAP])) for at in range(0, len(seq), _WRAP)]
+
+
 def format_document(doc: CodeDocument, include_codewords: bool = False) -> str:
     code = doc.code
     lines = [
@@ -69,9 +74,7 @@ def format_document(doc: CodeDocument, include_codewords: bool = False) -> str:
         f"cyclic={str(code.cyclic).lower()} method={doc.method}"
     ]
     lines.append(format_perm(code.start))
-    toks = [str(i) for i in code.transitions]
-    for at in range(0, len(toks), _WRAP):
-        lines.append(" ".join(toks[at : at + _WRAP]))
+    lines.extend(_wrapped(code.transitions))
     if include_codewords:
         lines.append("codewords:")
         lines.extend(format_perm(c) for c in code.codewords())
@@ -100,8 +103,9 @@ def parse_document(text: str) -> CodeDocument:
         raise ParseError(f"unknown metric {metric!r}")
     if cyclic and size < 1:
         raise ParseError(f"a cyclic snake needs size >= 1, got size={size}")
-    if len(lines) < 3:
-        raise ParseError("snake document needs a start line and transitions")
+    if len(lines) < 2:
+        # A one-codeword noncyclic code has no transition line.
+        raise ParseError("snake document needs a start line")
     try:
         start = parse_perm(lines[1])
     except ValueError as exc:
@@ -142,10 +146,7 @@ def parse_document(text: str) -> CodeDocument:
 
 
 def format_rmgc_document(r: RmgcSequence) -> str:
-    lines = [f"rmgc n={r.n} len={len(r.seq)}"]
-    toks = [str(i) for i in r.seq]
-    for at in range(0, len(toks), _WRAP):
-        lines.append(" ".join(toks[at : at + _WRAP]))
+    lines = [f"rmgc n={r.n} len={len(r.seq)}", *_wrapped(r.seq)]
     return "\n".join(lines) + "\n"
 
 

@@ -32,7 +32,7 @@ from .perm import (
     parse_perm,
     parse_transitions,
 )
-from .verify import MODE_EXHAUSTIVE, SnakeReport, verify_code
+from .verify import SnakeReport, verify_code
 
 EMBEDDED_CORE = (3, 3, 5, 3, 3, 5, 3, 5, 5, 3, 3, 5, 3, 3, 5, 3, 5, 5, 5)
 
@@ -48,14 +48,14 @@ def build_ksnake(n: int, start: Sequence[int], transitions: Sequence[int]) -> Gr
 
 
 def verify_snake(snake: GrayCode) -> SnakeReport:
-    """Kendall-snake acceptance: an exhaustive ``verify_code``, then parity.
+    """Kendall-snake acceptance: an exact ``verify_code``, then parity.
 
     Raises VerificationError naming the first failure (closure, duplicate,
     distance, parity, in that order); returns the passing report.
     """
     if not snake.transitions:
         raise VerificationError("a cyclic snake needs at least one transition")
-    report = verify_code(snake, MODE_EXHAUSTIVE)
+    report = verify_code(snake)
     if not report.cyclic_ok:
         raise VerificationError(
             f"sequence does not close: ends at {list(snake.end)}, "

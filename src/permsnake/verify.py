@@ -2,10 +2,10 @@
 
 ``verify_code`` recomputes everything from the transition sequence:
 distinctness by hashing, cyclic closure by applying the final transition,
-and the pairwise minimum distance under the code's metric.  Codes up to
-EXHAUSTIVE_LIMIT codewords get the full pairwise scan by default; larger
-ones fall back to a sampled scan (a sliding window of nearby pairs plus
-seeded random cross pairs) and the report says so.
+and the exact minimum distance over all pairs under the code's metric.
+The distance certificate looks up every codeword's radius-1 ball (see
+``_pairdist``), so it is exact at every size; no verdict rests on a
+sample.
 
 ``exhaustive_max_snake`` is an independent oracle for tiny n: a full
 depth-first enumeration of snakes over push-to-the-top moves, used to
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from . import _pairdist
 from .constructions import snake_upper_bound
@@ -30,12 +29,9 @@ from .perm import (
     linf_distance,
 )
 
-EXHAUSTIVE_LIMIT = 20_000
-SAMPLE_WINDOW = 500
-SAMPLE_CROSS_PAIRS = 200_000
-
 MODE_EXHAUSTIVE = "exhaustive"
-MODE_SAMPLED = "sampled"
+# Modes verify_code accepts; "sampled" is an alias of exhaustive.
+_MODES = (None, MODE_EXHAUSTIVE, "sampled")
 
 
 @dataclass
@@ -45,7 +41,7 @@ class SnakeReport:
     size: int
     distinct: bool
     cyclic_ok: bool | None  # None when the code does not claim cyclicity
-    min_distance: int | None  # None when fewer than two codewords or unsampled
+    min_distance: int | None  # None when fewer than two codewords
     metric_tag: str
     bound: int
     mode: str
@@ -91,14 +87,6 @@ def _metric_bound(n: int, metric_tag: str) -> int:
     return snake_upper_bound(n)
 
 
-def _sampled_scan(
-    codewords: Sequence[Perm], metric_tag: str
-) -> tuple[int | None, list[_pairdist.Violation], int]:
-    return _pairdist.sampled_min_distance(
-        codewords, metric_tag, SAMPLE_WINDOW, SAMPLE_CROSS_PAIRS, seed=0xC0DE
-    )
-
-
 def verify_code(code: GrayCode, mode: str | None = None) -> SnakeReport:
     """Verify a Gray code; every defect of the code lands in the report.
 
@@ -108,15 +96,12 @@ def verify_code(code: GrayCode, mode: str | None = None) -> SnakeReport:
     outside 2..n raises InvalidTransitionError while the codewords are
     derived.
 
-    mode None picks exhaustive up to EXHAUSTIVE_LIMIT codewords, sampled
-    above.  The sampled scan can miss a distant bad pair; the report's
-    mode field records which scan ran.
+    Every mode runs the exact certificate over all m(m-1)/2 pairs and
+    reports mode=exhaustive; "sampled" and None are accepted as aliases.
     """
     codewords = code.codewords()
     m = len(codewords)
-    if mode is None:
-        mode = MODE_EXHAUSTIVE if m <= EXHAUSTIVE_LIMIT else MODE_SAMPLED
-    if mode not in (MODE_EXHAUSTIVE, MODE_SAMPLED):
+    if mode not in _MODES:
         raise ValueError(f"unknown verification mode {mode!r}")
 
     violations: list[_pairdist.Violation] = []
@@ -132,15 +117,12 @@ def verify_code(code: GrayCode, mode: str | None = None) -> SnakeReport:
             apply_transition(codewords[-1], code.transitions[-1]) == codewords[0]
         )
 
-    if mode == MODE_EXHAUSTIVE:
-        kernel = (
-            _pairdist.min_pairwise_linf
-            if code.metric_tag == METRIC_LINF
-            else _pairdist.min_pairwise_kendall
-        )
-        min_d, pair_violations, checked = kernel(codewords)
-    else:
-        min_d, pair_violations, checked = _sampled_scan(codewords, code.metric_tag)
+    kernel = (
+        _pairdist.min_pairwise_linf
+        if code.metric_tag == METRIC_LINF
+        else _pairdist.min_pairwise_kendall
+    )
+    min_d, pair_violations, checked = kernel(codewords)
     violations.extend(v for v in pair_violations if v not in violations)
 
     return SnakeReport(
@@ -150,7 +132,7 @@ def verify_code(code: GrayCode, mode: str | None = None) -> SnakeReport:
         min_distance=min_d,
         metric_tag=code.metric_tag,
         bound=_metric_bound(code.n, code.metric_tag),
-        mode=mode,
+        mode=MODE_EXHAUSTIVE,
         pairs_checked=checked,
         violations=violations,
     )

@@ -1,3 +1,11 @@
+import contextlib
+import io
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from permsnake.cli import main
 from permsnake.documents import parse_document
 from permsnake.ksnake import embedded_a5_snake, format_ksnake
@@ -233,3 +241,52 @@ def test_import_ksnake(tmp_path, capsys):
     empty.write_text("", encoding="utf-8")
     rc, _, _ = run(capsys, "import-ksnake", str(empty))
     assert rc == 2
+
+
+def test_thm1_n11_is_certified_exactly(tmp_path, capsys):
+    out = tmp_path / "n11.txt"
+    rc, stdout, _ = run(capsys, "construct", "thm1", "--n", "11", "--out", str(out))
+    assert rc == 0
+    assert "valid=true size=90000 min_d=2 metric=linf bound=1247400 mode=exhaustive" in stdout
+    again = tmp_path / "again.txt"
+    rc, sampled, _ = run(
+        capsys, "construct", "thm1", "--n", "11", "--mode", "sampled", "--out", str(again)
+    )
+    assert rc == 0 and sampled == stdout
+    assert again.read_bytes() == out.read_bytes()
+
+    rc, stdout, _ = run(capsys, "verify", str(out))
+    assert rc == 0
+    assert "mode:         exhaustive (4049955000 pairs)" in stdout.splitlines()
+    rc, sampled, _ = run(capsys, "verify", str(out), "--mode", "sampled")
+    assert rc == 0 and sampled == stdout
+
+
+# Lines assembled from header fields, permutations and transitions, so
+# that most draws get past the first checks of some parser.
+TOKENS = (
+    "snake", "ksnake", "rmgc", "codewords:", "n=0", "n=1", "n=3", "n=5", "n=17",
+    "n=-2", "n", "=", "size=0", "size=1", "size=3", "size=57", "len=6", "len=2",
+    "metric=linf", "metric=kendall", "metric=x", "cyclic=true", "cyclic=false",
+    "method=m", "1 2 3", "3 1 2", "1 2 3 4 5", "2 2", "t3 t2", "3", "9", "-1", "x",
+)
+docs = st.one_of(
+    st.binary(max_size=300),
+    st.lists(st.lists(st.sampled_from(TOKENS), max_size=7).map(" ".join), max_size=6)
+    .map("\n".join)
+    .map(str.encode),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(docs, st.sampled_from(["verify", "import-ksnake"]))
+def test_cli_on_arbitrary_bytes_exits_cleanly(payload, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.txt")
+        with open(path, "wb") as fh:
+            fh.write(payload)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = main([command, path])
+    assert rc in (0, 1, 2)
+    assert len(stderr.getvalue().splitlines()) <= 1

@@ -90,13 +90,14 @@ def test_rmgc_snake_rejects_out_of_range():
         snake_from_rmgc(13)
 
 
-def test_rmgc_snake_n10_sampled_plus_structure():
-    # Above the exhaustive threshold the sampled scan plus the structural
-    # invariants stand in for the full pairwise check.
+def test_rmgc_snake_n10_exact_plus_structure():
+    # The certificate is exact at any size, whatever mode is asked for.
     code = snake_from_rmgc(10)
     assert code.size == 15000 == size_table(10).m1
     report = verify_code(code, "sampled")
-    assert report.valid and report.mode == "sampled"
+    assert report.valid and report.mode == "exhaustive"
+    assert report.pairs_checked == 15000 * 14999 // 2
+    assert report.min_distance == 2
     q = 5
     for c in code.codewords():
         assert all(v % 2 == 1 for v in c[q + 1 :])

@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permsnake.blocks import rmgc_block
 from permsnake.constructions import GrayCode, snake_from_rmgc
@@ -11,7 +15,7 @@ from permsnake.documents import (
     parse_rmgc_document,
 )
 from permsnake.errors import ParseError, VerificationError
-from permsnake.rmgc import build_rmgc
+from permsnake.rmgc import RmgcSequence, build_rmgc
 
 
 def test_cyclic_document_round_trip():
@@ -85,3 +89,53 @@ def test_rmgc_document_errors():
     with pytest.raises(ParseError):
         # length field disagreeing with n! is caught by the sequence type
         parse_rmgc_document("rmgc n=3 len=3\n3 3 2")
+
+
+@st.composite
+def documents(draw):
+    """Any Gray code the snake format can hold, under a one-token method name."""
+    n = draw(st.integers(1, 8))
+    start = tuple(draw(st.permutations(range(1, n + 1))))
+    cyclic = n >= 2 and draw(st.booleans())
+    longest = 70 if n >= 2 else 0
+    transitions = draw(st.lists(st.integers(2, max(2, n)), min_size=int(cyclic), max_size=longest))
+    metric = draw(st.sampled_from(["linf", "kendall"]))
+    method = draw(st.from_regex(r"[a-z0-9-]{1,12}", fullmatch=True))
+    return CodeDocument(GrayCode(n, start, tuple(transitions), cyclic, metric), method)
+
+
+def body_tokens(lines):
+    """Token counts of the transition lines: 30 each, the last one 1..30."""
+    return [len(ln.split()) for ln in lines]
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents(), st.booleans())
+def test_document_round_trip_property(doc, with_codewords):
+    text = format_document(doc, include_codewords=with_codewords)
+    assert parse_document(text) == doc
+    lines = text.splitlines()
+    body = lines[2 : lines.index("codewords:")] if with_codewords else lines[2:]
+    counts = body_tokens(body)
+    assert sum(counts) == len(doc.code.transitions)
+    assert all(c == 30 for c in counts[:-1]) and all(1 <= c <= 30 for c in counts)
+
+
+@st.composite
+def rmgc_sequences(draw):
+    n = draw(st.integers(2, 5))
+    size = math.factorial(n)
+    seq = draw(st.lists(st.integers(2, n), min_size=size, max_size=size))
+    return RmgcSequence(n, tuple(seq))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rmgc_sequences())
+def test_rmgc_document_round_trip_property(r):
+    text = format_rmgc_document(r)
+    assert parse_rmgc_document(text) == r
+    lines = text.splitlines()
+    assert lines[0] == f"rmgc n={r.n} len={len(r.seq)}"
+    counts = body_tokens(lines[1:])
+    assert sum(counts) == len(r.seq)
+    assert all(c == 30 for c in counts[:-1]) and 1 <= counts[-1] <= 30

@@ -6,14 +6,19 @@ code with ``verify_code`` and stays here as the reference oracle for any
 faster certificate that replaces the pairwise scan.
 """
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from permsnake._pairdist import VIOLATION_CAP
 from permsnake.blocks import rmgc_block
 from permsnake.constructions import GrayCode, snake_from_rmgc
 from permsnake.errors import VerificationError
 from permsnake.ksnake import build_ksnake, embedded_a5_snake
 from permsnake.verify import verify_code
+
+# Rotations of 1..6: pairwise Chebyshev distance >= 3, consecutive ones 5,
+# so no consecutive pair witnesses a minimum of 2.
+ROTATIONS = GrayCode(6, (1, 2, 3, 4, 5, 6), (6,) * 6, True, "linf")
 
 KNOWN = (
     snake_from_rmgc(6),
@@ -22,6 +27,26 @@ KNOWN = (
     rmgc_block((1, 4, 2, 6, 3, 5), 2),
     # Closes with pairwise Kendall distance >= 3, but t4 flips parity.
     GrayCode(4, (1, 2, 3, 4), (4, 4, 4, 4), True, "kendall"),
+    ROTATIONS,
+)
+
+# Codes that reach each branch of the certificate, drawn on every run.
+EXAMPLES = (
+    ROTATIONS,
+    # A codeword repeated three times (t2 t2 t2 t2).
+    GrayCode(5, (2, 4, 1, 5, 3), (3, 2, 2, 2, 2, 5), False, "linf"),
+    # 21 words alternating between two neighbours: 210 close pairs.
+    GrayCode(4, (1, 2, 3, 4), (2,) * 20, False, "kendall"),
+    GrayCode(4, (3, 4, 1, 2), (2,) * 20, True, "linf"),
+    # Kendall at n = 12 and 13 once took a pure-Python scan; the last two
+    # have minimum 2 and 3, and order bitmaps of two words.
+    GrayCode(12, tuple(range(1, 13)), (3, 5, 12, 2, 7, 7, 3, 11), False, "kendall"),
+    GrayCode(13, tuple(range(13, 0, -1)), (13, 3, 3, 3, 13, 2), True, "kendall"),
+    GrayCode(13, tuple(range(1, 14)), (3, 5, 3, 7, 3), False, "kendall"),
+    GrayCode(12, tuple(range(12, 0, -1)), (4, 4, 4, 9, 6), False, "kendall"),
+    # n = 17 does not pack into a 64-bit key: the pairwise scan runs.
+    GrayCode(17, tuple(range(1, 18)), (17, 2, 9, 2, 2, 16), False, "linf"),
+    GrayCode(17, tuple(range(1, 18)), (17, 3, 9, 2, 2, 16), True, "kendall"),
 )
 
 
@@ -44,12 +69,13 @@ def odd(p):
 
 
 def brute_force(code):
-    """(codewords, closes, min distance, first violation) by direct scan.
+    """(codewords, closes, min distance, violations) by direct scan.
 
     ``closes`` is None for a noncyclic code and False for an empty cyclic
-    one.  The first violation is the earliest repeated codeword, paired
-    with its first occurrence, if any word repeats; otherwise the
-    lexicographically first pair at distance < 2.
+    one.  The violations start with the earliest repeated codeword, paired
+    with its first occurrence, if any word repeats; then follow the
+    lexicographically first VIOLATION_CAP pairs at distance < 2, leaving
+    out that repeat.
     """
     chain = [code.start]
     for i in code.transitions:
@@ -63,32 +89,32 @@ def brute_force(code):
         for j in range(i + 1, len(words))
     }
     repeats = [(i, j) for (i, j), d in pairs.items() if d == 0]
-    close = sorted(ij for ij, d in pairs.items() if d < 2)
+    close = [(ij, pairs[ij]) for ij in sorted(pairs) if pairs[ij] < 2]
+    violations = []
     if repeats:
-        first = (min(repeats, key=lambda ij: (ij[1], ij[0])), 0)
-    elif close:
-        first = (close[0], pairs[close[0]])
-    else:
-        first = None
-    return words, closes, min(pairs.values(), default=None), first
+        violations.append((min(repeats, key=lambda ij: (ij[1], ij[0])), 0))
+    violations += [v for v in close[:VIOLATION_CAP] if v not in violations]
+    return words, closes, min(pairs.values(), default=None), violations
 
 
 @st.composite
 def codes(draw):
     """Small codes: random walks, or known snakes and blocks, some planted.
 
-    Planting ``t2 t2`` repeats a codeword; a lone ``t2`` swaps the first
-    two values, which is Kendall distance 1 and Chebyshev distance 1 when
-    the two values are adjacent.
+    Planting ``t2 t2`` repeats a codeword, and ``t2`` four times repeats it
+    three times; a lone ``t2`` swaps the first two values, which is Kendall
+    distance 1 and Chebyshev distance 1 when the two values are adjacent.
+    Twenty ``t2`` give more close pairs than VIOLATION_CAP.  n runs to 13
+    for packed keys and to 17, past what a 64-bit key holds.
     """
     if draw(st.booleans()):
         base = draw(st.sampled_from(KNOWN))
         n, start, transitions = base.n, base.start, list(base.transitions)
     else:
-        n = draw(st.integers(2, 6))
+        n = draw(st.one_of(st.integers(2, 6), st.sampled_from([12, 13, 17])))
         start = tuple(draw(st.permutations(range(1, n + 1))))
         transitions = draw(st.lists(st.integers(2, n), max_size=40))
-    plant = draw(st.sampled_from([(), (2,), (2, 2)]))
+    plant = draw(st.sampled_from([(), (2,), (2, 2), (2,) * 4, (2,) * 20]))
     at = draw(st.integers(0, len(transitions)))
     transitions[at:at] = plant
     cyclic = draw(st.booleans())
@@ -96,25 +122,45 @@ def codes(draw):
     return GrayCode(n, start, tuple(transitions), cyclic, metric)
 
 
+def with_examples(test):
+    for code in EXAMPLES:
+        test = example(code)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
+@with_examples
 @given(codes())
 def test_verify_code_matches_brute_force(code):
-    words, closes, min_d, first = brute_force(code)
+    words, closes, min_d, violations = brute_force(code)
     report = verify_code(code, "exhaustive")
     assert report.size == len(words)
     assert report.cyclic_ok == closes
-    assert report.distinct == (first is None or first[1] != 0)
+    assert report.distinct == (not violations or violations[0][1] != 0)
     assert report.min_distance == min_d
     assert report.valid == (closes is not False and (min_d is None or min_d >= 2))
-    assert (report.violations[0] if report.violations else None) == first
+    assert report.violations == violations
     assert report.pairs_checked == len(words) * (len(words) - 1) // 2
 
 
+def test_examples_reach_every_branch():
+    # The repeated, crowded, n = 17 and minimum-3 draws above are what
+    # they claim to be.
+    reports = [verify_code(code) for code in EXAMPLES]
+    assert reports[0].min_distance == 3
+    assert [r.min_distance for r in reports[1:4]] == [0, 0, 0]
+    assert [len(r.violations) for r in reports[2:4]] == [VIOLATION_CAP] * 2
+    assert [r.min_distance for r in reports[6:8]] == [2, 3]
+    assert {code.n for code in EXAMPLES} >= {12, 13, 17}
+
+
 @settings(max_examples=300, deadline=None)
+@with_examples
 @given(codes())
 def test_kendall_constructor_raises_exactly_on_brute_force_failures(code):
     snake = GrayCode(code.n, code.start, code.transitions, True, "kendall")
-    words, closes, _, first = brute_force(snake)
+    words, closes, _, violations = brute_force(snake)
+    first = violations[0] if violations else None
     if not code.transitions:
         expected = "at least one transition"
     elif not closes:
