@@ -6,7 +6,8 @@ all m(m-1)/2 pairs:
 
 - Each codeword packs into one uint64 key, value - 1 in the 4 bits of
   its position, so every n <= 16 fits.  The keys are sorted once, and
-  equal-key runs are the distance-0 pairs.
+  equal-key runs are the distance-0 pairs; the first repeated codeword
+  is read off them too, so no codeword is hashed.
 - Chebyshev: q is within distance 1 of p iff q is p with the values of
   some nonempty set of disjoint pairs {v, v+1} swapped, F(n+1) - 1
   neighbours (F the Fibonacci numbers).
@@ -22,7 +23,7 @@ bitmaps: bit (u, v), u < v, records whether u precedes v.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,8 +42,24 @@ Ball = Callable[[np.ndarray], Iterator[np.ndarray]]
 Dist = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+class Certificate(NamedTuple):
+    """The exact pairwise verdict on one list of codewords.
+
+    min_distance is None when there are fewer than two codewords.
+    violations are the lexicographically first VIOLATION_CAP pairs (i, j),
+    i < j, at distance < 2.  Every pair is certified, so pairs_checked is
+    m(m-1)/2.  duplicate is the first repeat, as ``find_duplicate`` gives
+    it, or None.
+    """
+
+    min_distance: int | None
+    violations: list[Violation]
+    pairs_checked: int
+    duplicate: tuple[int, int] | None
+
+
 def find_duplicate(codewords: Sequence[Perm]) -> tuple[int, int] | None:
-    """First (i, j) with codewords[i] == codewords[j], else None."""
+    """(i, j) for the smallest j repeating an earlier codeword i, else None."""
     seen: dict[Perm, int] = {}
     for j, c in enumerate(codewords):
         if c in seen:
@@ -51,23 +68,13 @@ def find_duplicate(codewords: Sequence[Perm]) -> tuple[int, int] | None:
     return None
 
 
-def min_pairwise_linf(
-    codewords: Sequence[Perm],
-) -> tuple[int | None, list[Violation], int]:
-    """Exact Chebyshev minimum over all pairs.
-
-    Returns (min_distance, violations, pairs_checked); min_distance is None
-    when there are fewer than two codewords.  Violations are the
-    lexicographically first VIOLATION_CAP pairs (i, j), i < j, at distance
-    < 2.  Every pair is certified, so pairs_checked is m(m-1)/2.
-    """
+def min_pairwise_linf(codewords: Sequence[Perm]) -> Certificate:
+    """Exact Chebyshev minimum over all pairs."""
     return _certify(codewords, _linf_ball, lambda arr: arr, _linf_dist)
 
 
-def min_pairwise_kendall(
-    codewords: Sequence[Perm],
-) -> tuple[int | None, list[Violation], int]:
-    """Exact Kendall minimum over all pairs; same contract as the linf one."""
+def min_pairwise_kendall(codewords: Sequence[Perm]) -> Certificate:
+    """Exact Kendall minimum over all pairs."""
     return _certify(codewords, _kendall_ball, _order_bitmaps, _kendall_dist)
 
 
@@ -76,26 +83,33 @@ def _certify(
     ball: Ball,
     features: Callable[[np.ndarray], np.ndarray],
     dist: Dist,
-) -> tuple[int | None, list[Violation], int]:
+) -> Certificate:
     m = len(codewords)
     if m < 2:
-        return None, [], 0
+        return Certificate(None, [], 0, None)
     pairs = m * (m - 1) // 2
     arr = np.asarray(codewords, dtype=np.int16)
     keys = _pack(arr)
     # Without keys (n > 16) only the scan below is exact.
-    if keys is not None:
-        order = np.argsort(keys, kind="stable")
-        skeys = keys[order]
-        if (skeys[1:] == skeys[:-1]).any():
-            return 0, _close_pairs(arr, keys, order, skeys, ball), pairs
-        if _ball_hit(arr, keys, skeys, ball):
-            return 1, _close_pairs(arr, keys, order, skeys, ball), pairs
+    if keys is None:
+        best, violations = _pairwise_scan(features(arr), dist)
+        return Certificate(best, violations, pairs, find_duplicate(codewords))
+    order = np.argsort(keys, kind="stable")
+    skeys = keys[order]
+    repeats = np.flatnonzero(skeys[1:] == skeys[:-1])
+    if len(repeats):
+        # Equal-key runs keep index order, so the smallest repeating index
+        # is the second of its run, right after its first occurrence.
+        t = int(repeats[np.argmin(order[repeats + 1])])
+        duplicate = (int(order[t]), int(order[t + 1]))
+        return Certificate(0, _close_pairs(arr, keys, order, skeys, ball), pairs, duplicate)
+    if _ball_hit(arr, keys, skeys, ball):
+        return Certificate(1, _close_pairs(arr, keys, order, skeys, ball), pairs, None)
     x = features(arr)
-    if keys is not None and _consecutive_at_two(x, dist):
-        return 2, [], pairs
+    if _consecutive_at_two(x, dist):
+        return Certificate(2, [], pairs, None)
     best, violations = _pairwise_scan(x, dist)
-    return best, violations, pairs
+    return Certificate(best, violations, pairs, None)
 
 
 def _pack(arr: np.ndarray) -> np.ndarray | None:

@@ -31,10 +31,14 @@ from .perm import (
     parity,
     parse_perm,
     parse_transitions,
+    undo_transition,
 )
 from .verify import SnakeReport, verify_code
 
 EMBEDDED_CORE = (3, 3, 5, 3, 3, 5, 3, 5, 5, 3, 3, 5, 3, 3, 5, 3, 5, 5, 5)
+
+MAX_SEARCH_N = 16  # the largest n whose codewords the certificate packs
+_TABLE_COSET = 512  # cosets up to this size are numbered and bounded exactly
 
 
 def build_ksnake(n: int, start: Sequence[int], transitions: Sequence[int]) -> GrayCode:
@@ -156,11 +160,20 @@ def search_ksnake(
     budget counts search-tree nodes; None is returned when it runs out or
     the space is exhausted.  ``stats``, if given, receives the node count
     and whether the space was exhausted.
+
+    Cosets of at most _TABLE_COSET permutations (n <= 6) are numbered
+    once; each node is then pruned unless the unvisited vertices it can
+    still reach, counted by a bitmask BFS, can extend the path to the
+    target.  Larger cosets keep tuple vertices and are never pruned.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
+    if n > MAX_SEARCH_N:
+        raise ValueError(f"search capped at n={MAX_SEARCH_N}, got n={n}")
     if target < 2:
         raise ValueError(f"need target >= 2, got {target}")
+    if budget < 0:
+        raise ValueError(f"need a budget >= 0, got {budget}")
     moves = tuple(i for i in range(3, n + 1, 2))
     start = identity(n)
     coset_size = math.factorial(n) // 2
@@ -171,33 +184,47 @@ def search_ksnake(
         return None
 
     # Vertices that can close the cycle: preimages of the start.
-    closers = {}
-    for i in moves:
-        pre = start[1:i] + (start[0],) + start[i:]
-        closers[pre] = i
+    closers = {undo_transition(start, i): i for i in moves}
+    # Frames are popped from the end, so moves are stored in reverse order.
+    back = moves[::-1]
+    nbrs: list[int] | None = None
+    if coset_size <= _TABLE_COSET:
+        ids, succ, nbrs = _coset_table(start, back)
+        closers = {ids[p]: i for p, i in closers.items()}
+        root: Perm | int = 0
+
+        def children(v: int) -> list[tuple[int, int]]:
+            return list(succ[v])
+
+    else:
+        root = start
+
+        def children(p: Perm) -> list[tuple[int, Perm]]:
+            return [(i, apply_transition(p, i)) for i in back]
 
     nodes = 0
     exhausted = True
-    path: list[Perm] = [start]
+    path = [root]
     trail: list[int] = []
-    visited = {start}
+    visited = {root}
+    mask = 1  # visited as a bitmask over coset ids; the root is id 0
     found: list[int] | None = None
 
-    def candidates(p: Perm) -> list[tuple[int, Perm]]:
-        return [(i, apply_transition(p, i)) for i in moves]
-
     # Iterative DFS; each stack frame holds the still-unexplored moves of
-    # the permutation at the matching depth of `path`.
-    stack: list[list[tuple[int, Perm]]] = [candidates(start)]
+    # the vertex at the matching depth of `path`.
+    stack = [children(root)]
     while stack:
         frame = stack[-1]
         if not frame:
             stack.pop()
             if trail:
-                visited.discard(path.pop())
                 trail.pop()
+                v = path.pop()
+                visited.discard(v)
+                if nbrs is not None:
+                    mask ^= 1 << v
             continue
-        move, child = frame.pop(0)
+        move, child = frame.pop()
         if child in visited:
             continue
         nodes += 1
@@ -210,13 +237,17 @@ def search_ksnake(
         if len(path) >= target and child in closers:
             found = trail + [closers[child]]
             break
-        # Prune when the unvisited vertices reachable from here cannot
-        # extend this prefix up to the target size.
-        if len(path) + _reachable_upper_bound(child, visited, moves, coset_size) < target:
-            visited.discard(path.pop())
-            trail.pop()
-            continue
-        stack.append(candidates(child))
+        if nbrs is not None:
+            mask |= 1 << child
+            # Prune when the unvisited vertices reachable from here cannot
+            # extend this prefix up to the target size.
+            if len(path) + _reachable_count(child, mask, nbrs) < target:
+                path.pop()
+                trail.pop()
+                visited.discard(child)
+                mask ^= 1 << child
+                continue
+        stack.append(children(child))
 
     if stats is not None:
         stats["nodes"] = nodes
@@ -226,28 +257,40 @@ def search_ksnake(
     return build_ksnake(n, start, found)
 
 
-def _reachable_upper_bound(
-    head: Perm, visited: set[Perm], moves: tuple[int, ...], coset_size: int
-) -> int:
-    """How many unvisited vertices are reachable from head, at most.
+def _coset_table(
+    start: Perm, moves: tuple[int, ...]
+) -> tuple[dict[Perm, int], list[tuple[tuple[int, int], ...]], list[int]]:
+    """Number the vertices reachable from start (start is 0) and tabulate their moves.
 
-    Exact breadth-first count for small cosets; for larger spaces the
-    coset size itself is returned (the bound then never prunes).
+    Returns the ids, each vertex's (move, successor id) pairs in the order
+    of ``moves``, and each vertex's successors as a bitmask.
     """
-    if coset_size > 512:
-        return coset_size
-    seen = {head}
-    frontier = [head]
-    count = 0
+    ids = {start: 0}
+    order = [start]
+    succ = []
+    for p in order:  # grows while it is walked: a breadth-first numbering
+        out = []
+        for i in moves:
+            q = apply_transition(p, i)
+            if q not in ids:
+                ids[q] = len(order)
+                order.append(q)
+            out.append((i, ids[q]))
+        succ.append(tuple(out))
+    nbrs = [sum({1 << w for _, w in out}) for out in succ]
+    return ids, succ, nbrs
+
+
+def _reachable_count(head: int, visited: int, nbrs: list[int]) -> int:
+    """How many unvisited vertices are reachable from head: a bitmask BFS."""
+    reach = 0
+    frontier = nbrs[head] & ~visited
     while frontier:
-        nxt = []
-        for p in frontier:
-            for i in moves:
-                q = apply_transition(p, i)
-                if q in seen or q in visited:
-                    continue
-                seen.add(q)
-                nxt.append(q)
-                count += 1
-        frontier = nxt
-    return count
+        reach |= frontier
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= nbrs[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & ~(visited | reach)
+    return reach.bit_count()

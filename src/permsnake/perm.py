@@ -63,6 +63,15 @@ def apply_transition(p: Perm, i: int) -> Perm:
     return (p[i - 1],) + p[: i - 1] + p[i:]
 
 
+def undo_transition(p: Perm, i: int) -> Perm:
+    """The permutation that apply_transition(., i) maps to p.
+
+    >>> undo_transition((2, 1, 4, 6, 3, 5), 3)
+    (1, 4, 2, 6, 3, 5)
+    """
+    return p[1:i] + (p[0],) + p[i:]
+
+
 def apply_sequence(p: Perm, transitions: Sequence[int]) -> list[Perm]:
     """Apply a transition sequence, returning all len(transitions)+1 states.
 

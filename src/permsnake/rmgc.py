@@ -36,6 +36,9 @@ class RmgcSequence:
     seq: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # Bound n before n! is computed: a document header can name any n.
+        if not 1 <= self.n <= MAX_N:
+            raise ValueError(f"RMGC n={self.n} is outside the allowed range 1..{MAX_N}")
         if len(self.seq) != math.factorial(self.n):
             raise ValueError(
                 f"RMGC for n={self.n} must have {math.factorial(self.n)} "
@@ -57,9 +60,7 @@ def build_rmgc(n: int) -> RmgcSequence:
     if n < BASE_N:
         raise ValueError(f"no RMGC recursion below n={BASE_N} (got {n})")
     if n > MAX_N:
-        raise ValueError(
-            f"n={n} exceeds the size cap {MAX_N} ({math.factorial(n)} transitions)"
-        )
+        raise ValueError(f"RMGC n={n} exceeds the size cap: n must be in {BASE_N}..{MAX_N}")
     if n == BASE_N:
         result = base_t3()
     else:

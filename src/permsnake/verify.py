@@ -1,15 +1,19 @@
 """Ground-truth validation of Gray codes and an exhaustive search oracle.
 
 ``verify_code`` recomputes everything from the transition sequence:
-distinctness by hashing, cyclic closure by applying the final transition,
-and the exact minimum distance over all pairs under the code's metric.
-The distance certificate looks up every codeword's radius-1 ball (see
-``_pairdist``), so it is exact at every size; no verdict rests on a
-sample.
+cyclic closure by applying the final transition, and distinctness and
+the exact minimum distance over all pairs under the code's metric from
+one certificate (see ``_pairdist``).  The certificate sorts packed
+codeword keys, which also yields the first repeated codeword, and looks
+up every codeword's radius-1 ball, so it is exact at every size; no
+verdict rests on a sample.
 
 ``exhaustive_max_snake`` is an independent oracle for tiny n: a full
 depth-first enumeration of snakes over push-to-the-top moves, used to
 confront the constructions and the packing bound with exact numbers.
+It works on the ids of the at most 120 permutations of S_n, n <= 5: a
+child is admissible iff no path word's radius-1 ball holds it, which is
+one lookup in a per-vertex count, not a scan of the path.
 """
 from __future__ import annotations
 
@@ -24,9 +28,9 @@ from .perm import (
     GrayCode,
     Perm,
     apply_transition,
-    identity,
     kendall_distance,
     linf_distance,
+    undo_transition,
 )
 
 MODE_EXHAUSTIVE = "exhaustive"
@@ -104,11 +108,16 @@ def verify_code(code: GrayCode, mode: str | None = None) -> SnakeReport:
     if mode not in _MODES:
         raise ValueError(f"unknown verification mode {mode!r}")
 
+    kernel = (
+        _pairdist.min_pairwise_linf
+        if code.metric_tag == METRIC_LINF
+        else _pairdist.min_pairwise_kendall
+    )
+    cert = kernel(codewords)
     violations: list[_pairdist.Violation] = []
-    dup = _pairdist.find_duplicate(codewords)
-    distinct = dup is None
-    if dup is not None:
-        violations.append((dup, 0))
+    if cert.duplicate is not None:
+        violations.append((cert.duplicate, 0))
+    violations.extend(v for v in cert.violations if v not in violations)
 
     cyclic_ok: bool | None = None
     if code.cyclic:
@@ -117,23 +126,15 @@ def verify_code(code: GrayCode, mode: str | None = None) -> SnakeReport:
             apply_transition(codewords[-1], code.transitions[-1]) == codewords[0]
         )
 
-    kernel = (
-        _pairdist.min_pairwise_linf
-        if code.metric_tag == METRIC_LINF
-        else _pairdist.min_pairwise_kendall
-    )
-    min_d, pair_violations, checked = kernel(codewords)
-    violations.extend(v for v in pair_violations if v not in violations)
-
     return SnakeReport(
         size=m,
-        distinct=distinct,
+        distinct=cert.duplicate is None,
         cyclic_ok=cyclic_ok,
-        min_distance=min_d,
+        min_distance=cert.min_distance,
         metric_tag=code.metric_tag,
         bound=_metric_bound(code.n, code.metric_tag),
         mode=MODE_EXHAUSTIVE,
-        pairs_checked=checked,
+        pairs_checked=cert.pairs_checked,
         violations=violations,
     )
 
@@ -151,6 +152,12 @@ def exhaustive_max_snake(
     invariance); Chebyshev searches try every start, since that metric is
     not right invariant.  n=5 under Chebyshev is only practical with a
     node budget, in which case the result is a best-effort lower bound.
+
+    S_n has at most 120 vertices here, so each call numbers them once and
+    tabulates every move and every radius-1 ball (the ids at distance < 2,
+    the vertex itself included).  The DFS counts, for each vertex, the
+    path words whose ball holds it; a child is admissible iff its count is
+    0, which rules out a revisit and a close pair in one lookup.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -158,64 +165,66 @@ def exhaustive_max_snake(
         raise ValueError(f"oracle capped at n=5, got {n}")
     if metric not in (METRIC_LINF, METRIC_KENDALL):
         raise ValueError(f"unknown metric {metric!r}")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"need a node budget >= 0, got {node_budget}")
     dist = linf_distance if metric == METRIC_LINF else kendall_distance
-    moves = tuple(range(2, n + 1))
-
-    if metric == METRIC_KENDALL:
-        starts = [identity(n)]
-    else:
-        starts = [p for p in _all_perms(n)]
+    perms = _all_perms(n)
+    ids = {p: v for v, p in enumerate(perms)}
+    # Ids fit in a byte, so each table row is a bytes.  succ[v] lists the
+    # successors by moves n, n-1, ..., 2: a frame is popped from the end,
+    # and its length after a pop tells which move was taken.
+    succ = [bytes(ids[apply_transition(p, i)] for i in range(n, 1, -1)) for p in perms]
+    ball = [bytes(u for u, q in enumerate(perms) if dist(p, q) < 2) for p in perms]
+    # The identity is the first permutation.
+    starts = [0] if metric == METRIC_KENDALL else range(len(perms))
 
     best_size = 0
     best_witness: GrayCode | None = None
     nodes = 0
+    blocked = [0] * len(perms)
 
-    for start in starts:
-        path = [start]
+    for s in starts:
+        path = [s]
         trail: list[int] = []
-        visited = {start}
-        stack = [[(i, apply_transition(start, i)) for i in moves]]
+        # The vertices one move away from closing the cycle, by that move.
+        closers = {ids[undo_transition(perms[s], i)]: i for i in range(2, n + 1)}
+        for u in ball[s]:
+            blocked[u] += 1
+        stack = [list(succ[s])]
         if not cyclic and best_size < 1:
-            best_size, best_witness = 1, GrayCode(n, start, (), False, metric)
+            best_size, best_witness = 1, GrayCode(n, perms[s], (), False, metric)
         while stack:
             frame = stack[-1]
             if not frame:
                 stack.pop()
+                for u in ball[path.pop()]:
+                    blocked[u] -= 1
                 if trail:
-                    visited.discard(path.pop())
                     trail.pop()
                 continue
-            move, child = frame.pop(0)
+            child = frame.pop()
+            move = n - len(frame)
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 return best_size, best_witness
-            if child in visited:
-                continue
-            if any(dist(child, p) < 2 for p in path):
+            if blocked[child]:
                 continue
             path.append(child)
             trail.append(move)
-            visited.add(child)
+            for u in ball[child]:
+                blocked[u] += 1
             if cyclic:
-                close = _closing_move(path[-1], start, moves)
+                close = closers.get(child)
                 if close is not None and len(path) > best_size and len(path) >= 2:
                     best_size = len(path)
                     best_witness = GrayCode(
-                        n, start, tuple(trail + [close]), True, metric
+                        n, perms[s], tuple(trail + [close]), True, metric
                     )
-            else:
-                if len(path) > best_size:
-                    best_size = len(path)
-                    best_witness = GrayCode(n, start, tuple(trail), False, metric)
-            stack.append([(i, apply_transition(child, i)) for i in moves])
+            elif len(path) > best_size:
+                best_size = len(path)
+                best_witness = GrayCode(n, perms[s], tuple(trail), False, metric)
+            stack.append(list(succ[child]))
     return best_size, best_witness
-
-
-def _closing_move(last: Perm, first: Perm, moves: tuple[int, ...]) -> int | None:
-    for i in moves:
-        if apply_transition(last, i) == first:
-            return i
-    return None
 
 
 def _all_perms(n: int) -> list[Perm]:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import tempfile
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,6 +140,23 @@ def test_verify_malformed_documents_exit_2_with_one_line(tmp_path, capsys):
         assert stderr.startswith("error: ") and "Traceback" not in stderr, name
 
 
+def test_rmgc_n_is_bounded_before_any_factorial(tmp_path, capsys):
+    # 300000! has over a million digits; computing it took seconds.
+    docs = {"len=1": "rmgc n=300000 len=1\n2\n", "len=2": "rmgc n=300000 len=2\n2 2\n"}
+    runs = {}
+    for name, text in docs.items():
+        path = tmp_path / "big.rmgc"
+        path.write_text(text, encoding="utf-8")
+        runs[name] = ("verify", str(path)), "n=300000"
+    runs["construct"] = ("construct", "rmgc", "--n", "5000"), "n=5000"
+    for name, (argv, named) in runs.items():
+        t0 = time.perf_counter()
+        rc, stdout, stderr = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 0.5, name
+        assert rc == 2 and stdout == "" and len(stderr.splitlines()) == 1, name
+        assert named in stderr and "..10" in stderr, name
+
+
 def test_verify_ksnake_and_rmgc_files(tmp_path, capsys):
     ks = tmp_path / "snake.ksnake"
     ks.write_text(format_ksnake(embedded_a5_snake()), encoding="utf-8")
@@ -214,6 +232,17 @@ def test_search_commands(capsys, tmp_path):
         capsys, "search", "ksnake", "--n", "3", "--target", "4"
     )
     assert rc == 0 and "not-found" in stdout and "exhausted=true" in stdout
+
+
+def test_search_rejects_bad_bounds_with_one_line(capsys):
+    for argv in (
+        ("search", "ksnake", "--n", "17", "--budget", "10"),
+        ("search", "ksnake", "--n", "5", "--target", "57", "--budget", "-1"),
+        ("search", "max", "--n", "4", "--budget", "-1"),
+    ):
+        rc, stdout, stderr = run(capsys, *argv)
+        assert rc == 2 and stdout == "", argv
+        assert len(stderr.splitlines()) == 1 and stderr.startswith("error: "), argv
 
 
 def test_import_ksnake(tmp_path, capsys):

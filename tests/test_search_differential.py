@@ -1,0 +1,122 @@
+"""Differential and pinned tests for the two searches.
+
+``path_scan_max_snake`` is the maximum-snake oracle as it was written
+before it numbered S_n: it tests each child against the whole path with
+its own distance functions.  ``exhaustive_max_snake`` must return the
+same best size and the same witness under every budget, so node order
+and node counts are unchanged too.  The Kendall-snake search is pinned
+by node counts, which any change to move order or pruning would move.
+"""
+import functools
+import itertools
+
+import pytest
+
+from permsnake.ksnake import search_ksnake, verify_snake
+from permsnake.verify import exhaustive_max_snake
+
+
+def push(p, i):
+    return (p[i - 1],) + p[: i - 1] + p[i:]
+
+
+def linf(p, q):
+    return max(abs(a - b) for a, b in zip(p, q))
+
+
+def kendall(p, q):
+    where = {v: k for k, v in enumerate(q)}
+    n = len(p)
+    return sum(1 for a in range(n) for b in range(a + 1, n) if where[p[a]] > where[p[b]])
+
+
+def path_scan_max_snake(n, metric, cyclic, budget):
+    """(best size, (start, transitions) of the witness) by a path-scanning DFS."""
+    dist = functools.lru_cache(maxsize=None)(linf if metric == "linf" else kendall)
+    moves = range(2, n + 1)
+    perms = list(itertools.permutations(range(1, n + 1)))
+    starts = perms[:1] if metric == "kendall" else perms
+    best, witness, nodes = 0, None, 0
+    for start in starts:
+        path, trail = [start], []
+        stack = [[(i, push(start, i)) for i in moves]]
+        if not cyclic and best < 1:
+            best, witness = 1, (start, ())
+        while stack:
+            if not stack[-1]:
+                stack.pop()
+                if trail:
+                    path.pop()
+                    trail.pop()
+                continue
+            move, child = stack[-1].pop(0)
+            nodes += 1
+            if budget is not None and nodes > budget:
+                return best, witness
+            if any(dist(child, p) < 2 for p in path):
+                continue
+            path.append(child)
+            trail.append(move)
+            if cyclic:
+                close = [i for i in moves if push(child, i) == start]
+                if close and len(path) > best and len(path) >= 2:
+                    best, witness = len(path), (start, tuple(trail + close[:1]))
+            elif len(path) > best:
+                best, witness = len(path), (start, tuple(trail))
+            stack.append([(i, push(child, i)) for i in moves])
+    return best, witness
+
+
+CASES = [
+    (n, metric, cyclic, budget)
+    for metric in ("linf", "kendall")
+    for cyclic in (True, False)
+    for n, budget in [
+        *((n, b) for n in (2, 3, 4) for b in (50, 1_000, None)),
+        *((5, b) for b in (50, 1_000, 20_000)),
+    ]
+]
+
+
+@pytest.mark.parametrize("n, metric, cyclic, budget", CASES)
+def test_max_snake_matches_the_path_scan(n, metric, cyclic, budget):
+    best, witness = exhaustive_max_snake(n, metric, cyclic, node_budget=budget)
+    expected_best, expected_witness = path_scan_max_snake(n, metric, cyclic, budget)
+    assert best == expected_best
+    got = None if witness is None else (witness.start, witness.transitions)
+    assert got == expected_witness
+    if witness is not None:
+        assert witness.cyclic == cyclic and witness.metric_tag == metric
+
+
+# (n, target, budget) -> (nodes, exhausted, snake size or None)
+KSNAKE_PINS = {
+    (5, 57, 1_000_000): (134, False, 57),
+    (5, 58, 30_000): (30_001, False, None),
+    (7, 100, 1_000_000): (120, False, 105),
+    (4, 4, 1_000_000): (1, True, None),
+    (9, 1_000, 20_000): (20_001, False, None),
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(KSNAKE_PINS), ids=lambda case: "-".join(map(str, case))
+)
+def test_ksnake_search_is_pinned(case):
+    n, target, budget = case
+    stats = {}
+    snake = search_ksnake(n, target, budget=budget, stats=stats)
+    nodes, exhausted, size = KSNAKE_PINS[case]
+    assert (stats["nodes"], stats["exhausted"]) == (nodes, exhausted)
+    assert (None if snake is None else snake.size) == size
+    if snake is not None:
+        assert verify_snake(snake).valid
+
+
+def test_search_arguments_are_bounded_before_anything_is_built():
+    with pytest.raises(ValueError, match="n=17"):
+        search_ksnake(17, 3, budget=10)
+    with pytest.raises(ValueError, match="budget"):
+        search_ksnake(5, 57, budget=-1)
+    with pytest.raises(ValueError, match="budget"):
+        exhaustive_max_snake(4, node_budget=-1)
