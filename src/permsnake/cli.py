@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import astuple
 
 from . import figures as figmod
 from .blocks import ksnake_block, rmgc_block
@@ -44,6 +45,7 @@ from .rmgc import build_rmgc, complete_and_cyclic
 from .verify import exhaustive_max_snake, verify_code
 
 ABSENT = "—"  # table placeholder for sizes without a construction
+SIZES_MAX_N = 100  # sizes tabulates n in 4..100; the constructions stop at n=13
 MODE_OPTION = dict(
     choices=["exhaustive", "sampled"],
     default=None,
@@ -63,16 +65,8 @@ def _info(msg: str, to_stderr: bool) -> None:
     print(msg, file=sys.stderr if to_stderr else sys.stdout)
 
 
-def _sizes_row(n: int) -> str:
-    t = size_table(n)
-    cells = [
-        str(t.n),
-        str(t.m0),
-        ABSENT if t.m1 is None else str(t.m1),
-        ABSENT if t.m2 is None else str(t.m2),
-        str(t.bound),
-    ]
-    return ",".join(cells)
+def _sizes_cells(n: int) -> list[str]:
+    return [ABSENT if v is None else str(v) for v in astuple(size_table(n))]
 
 
 def _load_snake_source(args: argparse.Namespace) -> GrayCode:
@@ -116,7 +110,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         return 1
     _info(f"size={code.size}", info_to_stderr)
     if n >= 4:
-        _info(f"sizes row (n,m0,m1,m2,bound): {_sizes_row(n)}", info_to_stderr)
+        _info(f"sizes row (n,m0,m1,m2,bound): {','.join(_sizes_cells(n))}", info_to_stderr)
     _info(report.summary_line(), info_to_stderr)
     _write_out(
         format_document(CodeDocument(code, args.method), args.codewords), args.out
@@ -157,18 +151,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_sizes(args: argparse.Namespace) -> int:
     lo, hi = args.lo, args.hi if args.hi is not None else args.lo
+    for n in (lo, hi):
+        if not 4 <= n <= SIZES_MAX_N:
+            raise ValueError(f"sizes n={n} is outside the allowed range 4..{SIZES_MAX_N}")
     if hi < lo:
         raise ValueError(f"empty range {lo}..{hi}")
+    rows = [_sizes_cells(n) for n in range(lo, hi + 1)]
     if args.csv:
-        for n in range(lo, hi + 1):
-            print(_sizes_row(n))
+        print("\n".join(",".join(cells) for cells in rows))
         return 0
-    print(f"{'n':>3} {'m0':>12} {'m1':>12} {'m2':>14} {'bound':>14}")
-    for n in range(lo, hi + 1):
-        t = size_table(n)
-        m1 = ABSENT if t.m1 is None else t.m1
-        m2 = ABSENT if t.m2 is None else t.m2
-        print(f"{t.n:>3} {t.m0:>12} {m1:>12} {m2:>14} {t.bound:>14}")
+    for cells in [["n", "m0", "m1", "m2", "bound"], *rows]:
+        print(" ".join(f"{c:>{w}}" for c, w in zip(cells, (3, 12, 12, 14, 14))))
     return 0
 
 

@@ -11,26 +11,26 @@ every snake returned by this module is a cyclic Kendall-tagged
 
 The embedded 5-symbol snake of size 57 = 5!/2 - 3 is three repeats of a
 19-transition core using only t_3 and t_5; its last transition is t_5,
-which is what the block builders downstream require.
+which is what the block builders downstream require.  The ksnake text
+format is read and written in ``documents``; ``parse_ksnake`` and
+``load_ksnake`` add the verification.
 """
 from __future__ import annotations
 
 import math
 from typing import Sequence
 
-from .errors import ParseError, VerificationError
+from .documents import format_ksnake, parse_ksnake_fields  # re-exported
+from .errors import VerificationError
 from .perm import (
     METRIC_KENDALL,
     GrayCode,
     Perm,
     apply_transition,
     check_perm,
-    format_perm,
-    format_transitions,
     identity,
     parity,
-    parse_perm,
-    parse_transitions,
+    reachable_table,
     undo_transition,
 )
 from .verify import SnakeReport, verify_code
@@ -91,45 +91,6 @@ def transport(snake: GrayCode, new_start: Sequence[int]) -> GrayCode:
     return build_ksnake(snake.n, new_start, snake.transitions)
 
 
-def format_ksnake(snake: GrayCode) -> str:
-    """Text form: header, start permutation, one line of transitions."""
-    return (
-        f"ksnake n={snake.n} size={snake.size}\n"
-        f"{format_perm(snake.start)}\n"
-        f"{format_transitions(snake.transitions)}\n"
-    )
-
-
-def parse_ksnake_fields(text: str) -> GrayCode:
-    """Parse the ksnake text format into a snake whose properties are unverified."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("empty ksnake file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "ksnake":
-        raise ParseError(f"bad ksnake header: {lines[0]!r}")
-    try:
-        fields = dict(part.split("=", 1) for part in head[1:])
-        n = int(fields["n"])
-        size = int(fields["size"])
-    except (ValueError, KeyError) as exc:
-        raise ParseError(f"bad ksnake header: {lines[0]!r}") from exc
-    if len(lines) < 3:
-        raise ParseError("ksnake file needs a start line and a transition line")
-    try:
-        start = parse_perm(lines[1])
-        transitions = parse_transitions(" ".join(lines[2:]))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    if len(start) != n:
-        raise ParseError(f"start has {len(start)} values but header says n={n}")
-    if len(transitions) != size:
-        raise ParseError(
-            f"header says size={size} but {len(transitions)} transitions follow"
-        )
-    return GrayCode(n, start, transitions, cyclic=True, metric_tag=METRIC_KENDALL)
-
-
 def parse_ksnake(text: str) -> GrayCode:
     """Parse and fully verify the ksnake text format.
 
@@ -162,9 +123,10 @@ def search_ksnake(
     and whether the space was exhausted.
 
     Cosets of at most _TABLE_COSET permutations (n <= 6) are numbered
-    once; each node is then pruned unless the unvisited vertices it can
-    still reach, counted by a bitmask BFS, can extend the path to the
-    target.  Larger cosets keep tuple vertices and are never pruned.
+    once by ``perm.reachable_table``; each node is then pruned unless the
+    unvisited vertices it can still reach, counted by a bitmask BFS, can
+    extend the path to the target.  Larger cosets keep tuple vertices and
+    are never pruned.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
@@ -189,7 +151,8 @@ def search_ksnake(
     back = moves[::-1]
     nbrs: list[int] | None = None
     if coset_size <= _TABLE_COSET:
-        ids, succ, nbrs = _coset_table(start, back)
+        ids, succ = reachable_table(start, back)
+        nbrs = [sum({1 << w for _, w in out}) for out in succ]
         closers = {ids[p]: i for p, i in closers.items()}
         root: Perm | int = 0
 
@@ -255,30 +218,6 @@ def search_ksnake(
     if found is None:
         return None
     return build_ksnake(n, start, found)
-
-
-def _coset_table(
-    start: Perm, moves: tuple[int, ...]
-) -> tuple[dict[Perm, int], list[tuple[tuple[int, int], ...]], list[int]]:
-    """Number the vertices reachable from start (start is 0) and tabulate their moves.
-
-    Returns the ids, each vertex's (move, successor id) pairs in the order
-    of ``moves``, and each vertex's successors as a bitmask.
-    """
-    ids = {start: 0}
-    order = [start]
-    succ = []
-    for p in order:  # grows while it is walked: a breadth-first numbering
-        out = []
-        for i in moves:
-            q = apply_transition(p, i)
-            if q not in ids:
-                ids[q] = len(order)
-                order.append(q)
-            out.append((i, ids[q]))
-        succ.append(tuple(out))
-    nbrs = [sum({1 << w for _, w in out}) for out in succ]
-    return ids, succ, nbrs
 
 
 def _reachable_count(head: int, visited: int, nbrs: list[int]) -> int:

@@ -72,6 +72,38 @@ def undo_transition(p: Perm, i: int) -> Perm:
     return p[1:i] + (p[0],) + p[i:]
 
 
+def reachable_table(
+    start: Perm, moves: Sequence[int]
+) -> tuple[dict[Perm, int], list[tuple[tuple[int, int], ...]]]:
+    """Number the permutations reachable from start by moves, breadth first.
+
+    start is id 0 and ``ids`` keeps insertion order, so ``list(ids)`` maps
+    an id back to its permutation.  ``succ[v]`` lists v's (move, successor
+    id) pairs in the order of ``moves``.
+
+    >>> ids, succ = reachable_table(identity(3), (3, 2))
+    >>> len(ids), ids[(1, 2, 3)]
+    (6, 0)
+    >>> succ[0]
+    ((3, 1), (2, 2))
+    >>> list(ids)[1], list(ids)[2]
+    ((3, 1, 2), (2, 1, 3))
+    """
+    ids = {start: 0}
+    order = [start]
+    succ = []
+    for p in order:  # grows while it is walked: a breadth-first numbering
+        out = []
+        for i in moves:
+            q = apply_transition(p, i)
+            if q not in ids:
+                ids[q] = len(order)
+                order.append(q)
+            out.append((i, ids[q]))
+        succ.append(tuple(out))
+    return ids, succ
+
+
 def apply_sequence(p: Perm, transitions: Sequence[int]) -> list[Perm]:
     """Apply a transition sequence, returning all len(transitions)+1 states.
 

@@ -11,9 +11,9 @@ verdict rests on a sample.
 ``exhaustive_max_snake`` is an independent oracle for tiny n: a full
 depth-first enumeration of snakes over push-to-the-top moves, used to
 confront the constructions and the packing bound with exact numbers.
-It works on the ids of the at most 120 permutations of S_n, n <= 5: a
-child is admissible iff no path word's radius-1 ball holds it, which is
-one lookup in a per-vertex count, not a scan of the path.
+It numbers the at most 120 permutations of S_n, n <= 5, with
+``perm.reachable_table``: a child is admissible iff no path word's
+radius-1 ball holds it, one bit test of the path's blocked mask.
 """
 from __future__ import annotations
 
@@ -26,10 +26,11 @@ from .perm import (
     METRIC_KENDALL,
     METRIC_LINF,
     GrayCode,
-    Perm,
     apply_transition,
+    identity,
     kendall_distance,
     linf_distance,
+    reachable_table,
     undo_transition,
 )
 
@@ -153,11 +154,12 @@ def exhaustive_max_snake(
     not right invariant.  n=5 under Chebyshev is only practical with a
     node budget, in which case the result is a best-effort lower bound.
 
-    S_n has at most 120 vertices here, so each call numbers them once and
-    tabulates every move and every radius-1 ball (the ids at distance < 2,
-    the vertex itself included).  The DFS counts, for each vertex, the
-    path words whose ball holds it; a child is admissible iff its count is
-    0, which rules out a revisit and a close pair in one lookup.
+    S_n has at most 120 vertices here, so each call numbers them once
+    (``perm.reachable_table``) and masks every radius-1 ball (the ids at
+    distance < 2, the vertex itself included).  The DFS keeps one blocked
+    mask per path depth, the union of the path words' balls; a child is
+    admissible iff its bit is clear, which rules out a revisit and a close
+    pair in one test.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -168,28 +170,24 @@ def exhaustive_max_snake(
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"need a node budget >= 0, got {node_budget}")
     dist = linf_distance if metric == METRIC_LINF else kendall_distance
-    perms = _all_perms(n)
-    ids = {p: v for v, p in enumerate(perms)}
-    # Ids fit in a byte, so each table row is a bytes.  succ[v] lists the
-    # successors by moves n, n-1, ..., 2: a frame is popped from the end,
-    # and its length after a pop tells which move was taken.
-    succ = [bytes(ids[apply_transition(p, i)] for i in range(n, 1, -1)) for p in perms]
-    ball = [bytes(u for u, q in enumerate(perms) if dist(p, q) < 2) for p in perms]
-    # The identity is the first permutation.
-    starts = [0] if metric == METRIC_KENDALL else range(len(perms))
+    # succ[v] lists (move, id) by moves n, n-1, ..., 2; frames are popped
+    # from the end, so children are tried by moves 2, 3, ..., n.
+    ids, succ = reachable_table(identity(n), range(n, 1, -1))
+    perms = list(ids)
+    ball = [sum(1 << u for u, q in enumerate(perms) if dist(p, q) < 2) for p in perms]
+    # The identity is id 0; Chebyshev tries every start in lexicographic order.
+    starts = [0] if metric == METRIC_KENDALL else sorted(ids.values(), key=perms.__getitem__)
 
     best_size = 0
     best_witness: GrayCode | None = None
     nodes = 0
-    blocked = [0] * len(perms)
 
     for s in starts:
-        path = [s]
         trail: list[int] = []
+        # blocked[d]: the ball union of the first d+1 path words, as a bitmask.
+        blocked = [ball[s]]
         # The vertices one move away from closing the cycle, by that move.
         closers = {ids[undo_transition(perms[s], i)]: i for i in range(2, n + 1)}
-        for u in ball[s]:
-            blocked[u] += 1
         stack = [list(succ[s])]
         if not cyclic and best_size < 1:
             best_size, best_witness = 1, GrayCode(n, perms[s], (), False, metric)
@@ -197,37 +195,28 @@ def exhaustive_max_snake(
             frame = stack[-1]
             if not frame:
                 stack.pop()
-                for u in ball[path.pop()]:
-                    blocked[u] -= 1
+                blocked.pop()
                 if trail:
                     trail.pop()
                 continue
-            child = frame.pop()
-            move = n - len(frame)
+            move, child = frame.pop()
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 return best_size, best_witness
-            if blocked[child]:
+            if blocked[-1] >> child & 1:
                 continue
-            path.append(child)
             trail.append(move)
-            for u in ball[child]:
-                blocked[u] += 1
+            blocked.append(blocked[-1] | ball[child])
+            size = len(blocked)
             if cyclic:
                 close = closers.get(child)
-                if close is not None and len(path) > best_size and len(path) >= 2:
-                    best_size = len(path)
+                if close is not None and size > best_size and size >= 2:
+                    best_size = size
                     best_witness = GrayCode(
                         n, perms[s], tuple(trail + [close]), True, metric
                     )
-            elif len(path) > best_size:
-                best_size = len(path)
+            elif size > best_size:
+                best_size = size
                 best_witness = GrayCode(n, perms[s], tuple(trail), False, metric)
             stack.append(list(succ[child]))
     return best_size, best_witness
-
-
-def _all_perms(n: int) -> list[Perm]:
-    import itertools
-
-    return [tuple(p) for p in itertools.permutations(range(1, n + 1))]

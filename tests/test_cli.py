@@ -140,6 +140,39 @@ def test_verify_malformed_documents_exit_2_with_one_line(tmp_path, capsys):
         assert stderr.startswith("error: ") and "Traceback" not in stderr, name
 
 
+def test_malformed_ksnake_files_exit_2_with_one_line(tmp_path, capsys):
+    docs = {
+        "size=0": "ksnake n=3 size=0\n1 2 3\n",
+        "size=0 with a transition": "ksnake n=3 size=0\n1 2 3\n3\n",
+        "no transition line": "ksnake n=3 size=3\n1 2 3\n",
+        "count mismatch": "ksnake n=3 size=4\n1 2 3\n3 3 3\n",
+        "extra header field": "ksnake n=3 size=3 x=1\n1 2 3\n3 3 3\n",
+        "codewords line": "ksnake n=3 size=3\n1 2 3\n3 3 3\ncodewords:\n1 2 3\n",
+    }
+    for name, text in docs.items():
+        path = tmp_path / "bad.ksnake"
+        path.write_text(text, encoding="utf-8")
+        for command in ("verify", "import-ksnake"):
+            rc, stdout, stderr = run(capsys, command, str(path))
+            assert rc == 2, (name, command)
+            assert stdout == "" and len(stderr.splitlines()) == 1, (name, command)
+            assert stderr.startswith("error: ") and "Traceback" not in stderr, (name, command)
+
+
+def test_sizes_range_is_checked_before_any_output(capsys):
+    for argv, named in [
+        (("3",), "n=3"),
+        (("5000",), "n=5000"),
+        (("4", "100000"), "n=100000"),
+        (("1200", "1200", "--csv"), "n=1200"),
+    ]:
+        t0 = time.perf_counter()
+        rc, stdout, stderr = run(capsys, "sizes", *argv)
+        assert time.perf_counter() - t0 < 0.2, argv
+        assert rc == 2 and stdout == "" and len(stderr.splitlines()) == 1, argv
+        assert named in stderr and "4..100" in stderr, argv
+
+
 def test_rmgc_n_is_bounded_before_any_factorial(tmp_path, capsys):
     # 300000! has over a million digits; computing it took seconds.
     docs = {"len=1": "rmgc n=300000 len=1\n2\n", "len=2": "rmgc n=300000 len=2\n2 2\n"}

@@ -10,8 +10,10 @@ from permsnake.documents import (
     CodeDocument,
     detect_kind,
     format_document,
+    format_ksnake,
     format_rmgc_document,
     parse_document,
+    parse_ksnake_fields,
     parse_rmgc_document,
 )
 from permsnake.errors import ParseError, VerificationError
@@ -139,3 +141,22 @@ def test_rmgc_document_round_trip_property(r):
     counts = body_tokens(lines[1:])
     assert sum(counts) == len(r.seq)
     assert all(c == 30 for c in counts[:-1]) and 1 <= counts[-1] <= 30
+
+
+@st.composite
+def ksnakes(draw):
+    """Cyclic Kendall-tagged codes as the ksnake format holds them, unverified."""
+    n = draw(st.integers(1, 8))
+    start = tuple(draw(st.permutations(range(1, n + 1))))
+    transitions = draw(st.lists(st.integers(2, max(2, n)), min_size=1, max_size=70))
+    return GrayCode(n, start, tuple(transitions), True, "kendall")
+
+
+@settings(max_examples=200, deadline=None)
+@given(ksnakes())
+def test_ksnake_round_trip_property(snake):
+    text = format_ksnake(snake)
+    assert parse_ksnake_fields(text) == snake
+    lines = text.splitlines()
+    assert lines[0] == f"ksnake n={snake.n} size={snake.size}"
+    assert len(lines) == 3 and len(lines[2].split()) == len(snake.transitions)
