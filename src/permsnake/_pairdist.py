@@ -2,28 +2,37 @@
 
 A code has minimum distance >= 2 iff no codeword lies in the radius-1
 ball of another, so the certificate looks balls up instead of comparing
-all m(m-1)/2 pairs:
+all m(m-1)/2 pairs.  It takes the codewords as one (m, n) array.
 
-- Each codeword packs into one uint64 key, value - 1 in the 4 bits of
-  its position, so every n <= 16 fits.  The keys are sorted once, and
-  equal-key runs are the distance-0 pairs; the first repeated codeword
-  is read off them too, so no codeword is hashed.
+- Each codeword is keyed by the Lehmer rank of a permutation: Chebyshev
+  keys p by p, Kendall by p⁻¹.  Ranks fit an int64 for every n <= 20.
+  The ranks are sorted once (stably), and equal-rank runs are the
+  distance-0 pairs; the first repeated codeword is read off them too.
+- Swapping the values v and v+1 of a key changes exactly one Lehmer
+  digit, the one at the smaller of their two positions a, by +1 when v
+  comes first and -1 otherwise: a rank step of ±(n-1-a)!.
 - Chebyshev: q is within distance 1 of p iff q is p with the values of
   some nonempty set of disjoint pairs {v, v+1} swapped, F(n+1) - 1
-  neighbours (F the Fibonacci numbers).
-- Kendall: the n - 1 swaps of adjacent positions.
-- Every neighbour key is looked up with ``searchsorted``; a hit is a
-  distance-1 pair.
+  neighbours (F the Fibonacci numbers), each rank the sum of its steps.
+- Kendall: a swap of adjacent positions in p is a swap of adjacent
+  values in p⁻¹, so the n - 1 neighbours are single steps of p⁻¹.
+- Every neighbour rank is looked up, each pair once from its smaller
+  rank; a hit is a distance-1 pair.  Up to n = 12 the lookup is one
+  gather from an n!-bit bitmap of the codeword ranks (60 MB at n = 12,
+  allocated with ``np.zeros``, so only touched pages are resident); for
+  13 <= n <= 20 that bitmap would take 778 MB or more, so the lookup is a
+  ``searchsorted`` in the sorted ranks.
 
 With the balls clear the minimum is at least 2, and exactly 2 as soon as
-one consecutive pair is at distance 2.  Otherwise, and when the
-codewords do not pack, a chunked scan of every pair computes the exact
-minimum.  Kendall distances in that scan are popcounts of XORed order
-bitmaps: bit (u, v), u < v, records whether u precedes v.
+one consecutive pair is at distance 2.  Otherwise, and when the rows are
+not permutations of 1..n with n <= 20, a chunked scan of every pair
+computes the exact minimum.  Kendall distances in that scan are popcounts
+of XORed order bitmaps: bit (u, v), u < v, records whether u precedes v.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Sequence
+import math
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,12 +42,14 @@ Violation = tuple[tuple[int, int], int]
 
 VIOLATION_CAP = 50
 
-_BITS = 4  # key bits per value
-_MAX_PACKED_N = 64 // _BITS
-_CHUNK = 1 << 16  # codewords per batch of ball lookups
+_MAX_RANK_N = 20  # 20! < 2**63: every rank fits an int64
+_BITMAP_N = 12  # the largest n whose n!-bit rank bitmap is allocated
+_BIT = np.array([1 << b for b in range(8)], dtype=np.uint8)  # bit b of a bitmap byte
+_FACT = np.array([math.factorial(k) for k in range(_MAX_RANK_N + 1)], dtype=np.int64)
+_CHUNK = 1 << 13  # codewords per batch of ball lookups
 _PAIR_CHUNK = 1 << 12  # codewords per batch when listing close pairs
 
-Ball = Callable[[np.ndarray], Iterator[np.ndarray]]
+Ball = Callable[[np.ndarray, np.ndarray], Iterator[np.ndarray]]
 Dist = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -58,7 +69,7 @@ class Certificate(NamedTuple):
     duplicate: tuple[int, int] | None
 
 
-def find_duplicate(codewords: Sequence[Perm]) -> tuple[int, int] | None:
+def find_duplicate(codewords: Iterable[Perm]) -> tuple[int, int] | None:
     """(i, j) for the smallest j repeating an earlier codeword i, else None."""
     seen: dict[Perm, int] = {}
     for j, c in enumerate(codewords):
@@ -68,43 +79,51 @@ def find_duplicate(codewords: Sequence[Perm]) -> tuple[int, int] | None:
     return None
 
 
-def min_pairwise_linf(codewords: Sequence[Perm]) -> Certificate:
-    """Exact Chebyshev minimum over all pairs."""
-    return _certify(codewords, _linf_ball, lambda arr: arr, _linf_dist)
+def min_pairwise_linf(codewords: np.ndarray) -> Certificate:
+    """Exact Chebyshev minimum over all pairs of rows of an (m, n) array."""
+    return _certify(codewords, False, lambda arr: arr, _linf_dist)
 
 
-def min_pairwise_kendall(codewords: Sequence[Perm]) -> Certificate:
-    """Exact Kendall minimum over all pairs."""
-    return _certify(codewords, _kendall_ball, _order_bitmaps, _kendall_dist)
+def min_pairwise_kendall(codewords: np.ndarray) -> Certificate:
+    """Exact Kendall minimum over all pairs of rows of an (m, n) array."""
+    return _certify(codewords, True, _order_bitmaps, _kendall_dist)
 
 
 def _certify(
-    codewords: Sequence[Perm],
-    ball: Ball,
+    codewords: np.ndarray,
+    kendall: bool,
     features: Callable[[np.ndarray], np.ndarray],
     dist: Dist,
 ) -> Certificate:
-    m = len(codewords)
+    arr = np.asarray(codewords)
+    m = len(arr)
     if m < 2:
         return Certificate(None, [], 0, None)
     pairs = m * (m - 1) // 2
-    arr = np.asarray(codewords, dtype=np.int16)
-    keys = _pack(arr)
-    # Without keys (n > 16) only the scan below is exact.
-    if keys is None:
+    # Without ranks (n > 20, or rows that are not permutations of 1..n)
+    # only the scan below is exact.
+    if not _rankable(arr):
         best, violations = _pairwise_scan(features(arr), dist)
-        return Certificate(best, violations, pairs, find_duplicate(codewords))
-    order = np.argsort(keys, kind="stable")
-    skeys = keys[order]
-    repeats = np.flatnonzero(skeys[1:] == skeys[:-1])
+        duplicate = find_duplicate(map(tuple, arr.tolist()))
+        return Certificate(best, violations, pairs, duplicate)
+
+    def ball(rows: np.ndarray, k: np.ndarray) -> Iterator[np.ndarray]:
+        return _ball(_keys(rows, kendall)[1], k, matchings=not kendall)
+
+    ranks = np.concatenate(
+        [_ranks(_keys(arr[c0 : c0 + _CHUNK], kendall)[0]) for c0 in range(0, m, _CHUNK)]
+    )
+    order = np.argsort(ranks, kind="stable")
+    sranks = ranks[order]
+    repeats = np.flatnonzero(sranks[1:] == sranks[:-1])
     if len(repeats):
-        # Equal-key runs keep index order, so the smallest repeating index
+        # Equal-rank runs keep index order, so the smallest repeating index
         # is the second of its run, right after its first occurrence.
         t = int(repeats[np.argmin(order[repeats + 1])])
         duplicate = (int(order[t]), int(order[t + 1]))
-        return Certificate(0, _close_pairs(arr, keys, order, skeys, ball), pairs, duplicate)
-    if _ball_hit(arr, keys, skeys, ball):
-        return Certificate(1, _close_pairs(arr, keys, order, skeys, ball), pairs, None)
+        return Certificate(0, _close_pairs(arr, ranks, order, sranks, ball), pairs, duplicate)
+    if _ball_hit(arr, order, sranks, ball):
+        return Certificate(1, _close_pairs(arr, ranks, order, sranks, ball), pairs, None)
     x = features(arr)
     if _consecutive_at_two(x, dist):
         return Certificate(2, [], pairs, None)
@@ -112,86 +131,116 @@ def _certify(
     return Certificate(best, violations, pairs, None)
 
 
-def _pack(arr: np.ndarray) -> np.ndarray | None:
-    """One uint64 key per row, or None unless rows are permutations of 1..n <= 16."""
+def _rankable(arr: np.ndarray) -> bool:
+    """True if every row is a permutation of 1..n, n <= 20."""
     m, n = arr.shape
-    if not 1 <= n <= _MAX_PACKED_N or arr.min() < 1 or arr.max() > n:
-        return None
-    keys = np.zeros(m, dtype=np.uint64)
+    if not 1 <= n <= _MAX_RANK_N or arr.min() < 1 or arr.max() > n:
+        return False
     seen = np.zeros(m, dtype=np.uint32)
     for k in range(n):
-        col = arr[:, k].astype(np.uint64) - np.uint64(1)
-        keys |= col << np.uint64(_BITS * k)
-        seen |= np.uint32(1) << col.astype(np.uint32)
-    if (seen != (1 << n) - 1).any():
-        return None
-    return keys
+        seen |= np.uint32(1) << arr[:, k].astype(np.uint32)
+    return bool((seen == (1 << n + 1) - 2).all())
 
 
-def _linf_ball(arr: np.ndarray) -> Iterator[np.ndarray]:
-    """Key deltas of the Chebyshev radius-1 ball, one per nonempty matching.
+def _keys(rows: np.ndarray, kendall: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based key permutations of rows, and their inverses, as (n, m) int8.
 
-    Swapping values v and v+1 adds 1 at the position of v and takes 1
-    from the position of v+1; a matching's delta is the sum of its swaps.
+    Chebyshev keys a codeword p by p and Kendall by p⁻¹, so the two
+    metrics differ only in which of the pair is the key.
     """
-    unit = np.uint64(1) << (np.argsort(arr, axis=1).astype(np.uint64) * np.uint64(_BITS))
-    return _matching_deltas(unit[:, :-1] - unit[:, 1:], np.uint64(0), 0)
+    p = rows.T.astype(np.int8) - 1
+    inv = np.empty_like(p)
+    inv[p, np.arange(p.shape[1])] = np.arange(len(p), dtype=np.int8)[:, None]
+    return (inv, p) if kendall else (p, inv)
 
 
-def _matching_deltas(
-    swap: np.ndarray, delta: np.ndarray | np.uint64, lowest: int
-) -> Iterator[np.ndarray]:
-    """delta plus each nonempty sum of swap columns >= lowest, no two adjacent."""
-    for v in range(lowest, swap.shape[1]):
-        grown = delta + swap[:, v]
+def _ranks(p: np.ndarray) -> np.ndarray:
+    """The Lehmer rank of each column of a 0-based (n, m) permutation array."""
+    n = len(p)
+    rank = np.zeros(p.shape[1], dtype=np.int64)
+    for a in range(n - 1):
+        # Digit a: how many later values are smaller than the one at a.
+        digit = np.zeros(p.shape[1], dtype=np.int8)
+        for b in range(a + 1, n):
+            digit += p[b] < p[a]
+        rank += digit * _FACT[n - 1 - a]
+    return rank
+
+
+def _ball(inv: np.ndarray, k: np.ndarray, matchings: bool) -> Iterator[np.ndarray]:
+    """The neighbour ranks of each key's radius-1 ball, one array per neighbour.
+
+    inv holds the (n, m) inverses of the keys, k their ranks.  Row v of
+    the steps is the rank step of swapping the values v and v+1:
+    ±(n-1-a)! with a the smaller of their positions, + when v comes
+    first.  Chebyshev neighbours take the steps of every nonempty
+    matching, Kendall neighbours one step each.
+    """
+    first, second = inv[:-1], inv[1:]
+    step = _FACT[len(inv) - 1 - np.minimum(first, second)]
+    step = np.where(first < second, step, -step)
+    return _matchings(step, k, 0) if matchings else (k + s for s in step)
+
+
+def _matchings(step: np.ndarray, k: np.ndarray, lowest: int) -> Iterator[np.ndarray]:
+    """k plus each nonempty sum of step rows >= lowest, no two adjacent."""
+    for v in range(lowest, len(step)):
+        grown = k + step[v]
         yield grown
-        yield from _matching_deltas(swap, grown, v + 2)
+        yield from _matchings(step, grown, v + 2)
 
 
-def _kendall_ball(arr: np.ndarray) -> Iterator[np.ndarray]:
-    """Key deltas of the Kendall radius-1 ball: the n - 1 adjacent swaps."""
-    vals = arr.astype(np.uint64)
-    for k in range(arr.shape[1] - 1):
-        a, b = vals[:, k], vals[:, k + 1]
-        lo, hi = np.uint64(_BITS * k), np.uint64(_BITS * (k + 1))
-        yield (b << lo) + (a << hi) - (a << lo) - (b << hi)
+def _member(sranks: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Nonzero where a query rank is a codeword rank.
+
+    Up to n = 12 that is one gather from an n!-bit bitmap, else a binary
+    search in the sorted ranks.
+    """
+    if n <= _BITMAP_N:
+        bits = np.zeros(-(-math.factorial(n) // 8), dtype=np.uint8)
+        byte = sranks >> 3
+        runs = np.flatnonzero(np.concatenate(([True], byte[1:] != byte[:-1])))
+        bits[byte[runs]] = np.bitwise_or.reduceat(_BIT[sranks & 7], runs)
+        return lambda q: bits[q >> 3] & _BIT[q & 7]
+    last = len(sranks) - 1
+    return lambda q: sranks[np.minimum(np.searchsorted(sranks, q), last)] == q
 
 
-def _ball_hit(arr: np.ndarray, keys: np.ndarray, skeys: np.ndarray, ball: Ball) -> bool:
-    """True if some codeword lies in the radius-1 ball of another."""
-    last = len(skeys) - 1
-    for c0 in range(0, len(keys), _CHUNK):
-        k = keys[c0 : c0 + _CHUNK]
-        for delta in ball(arr[c0 : c0 + _CHUNK]):
-            q = k + delta
-            # Balls are symmetric: look each pair up once, from its smaller key.
-            q = q[q > k]
-            at = np.searchsorted(skeys, q)
-            if (skeys[np.minimum(at, last)] == q).any():
+def _ball_hit(arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, ball: Ball) -> bool:
+    """True if some codeword lies in the radius-1 ball of another.
+
+    Codewords are taken in rank order, so the probes of one batch land
+    near one another in the bitmap or the sorted ranks.
+    """
+    member = _member(sranks, arr.shape[1])
+    for c0 in range(0, len(order), _CHUNK):
+        k = sranks[c0 : c0 + _CHUNK]
+        for q in ball(arr[order[c0 : c0 + _CHUNK]], k):
+            # Balls are symmetric: look each pair up once, from its smaller rank.
+            if member(q[q > k]).any():
                 return True
     return False
 
 
 def _close_pairs(
-    arr: np.ndarray, keys: np.ndarray, order: np.ndarray, skeys: np.ndarray, ball: Ball
+    arr: np.ndarray, ranks: np.ndarray, order: np.ndarray, sranks: np.ndarray, ball: Ball
 ) -> list[Violation]:
     """The lexicographically first VIOLATION_CAP pairs at distance 0 or 1.
 
-    Codewords are taken in index order, each with its own key (distance 0)
-    and its ball (distance 1); a stable sort keeps every equal-key run in
+    Codewords are taken in index order, each with its own rank (distance 0)
+    and its ball (distance 1); a stable sort keeps every equal-rank run in
     index order, so the partners j > i are a tail of each run.  Listing
     stops at the first codeword after the cap is reached.
     """
     found: list[Violation] = []
-    for c0 in range(0, len(keys), _PAIR_CHUNK):
-        k = keys[c0 : c0 + _PAIR_CHUNK]
+    for c0 in range(0, len(ranks), _PAIR_CHUNK):
+        k = ranks[c0 : c0 + _PAIR_CHUNK]
         rows, lo, hi, dists = [], [], [], []
-        deltas = ball(arr[c0 : c0 + _PAIR_CHUNK])
-        for d, delta in ((0, np.uint64(0)), *((1, x) for x in deltas)):
-            q = k + delta
-            left = np.searchsorted(skeys, q, "left")
-            right = np.searchsorted(skeys, q, "right")
-            # A codeword's own key always finds its own run.
+        neighbours = ball(arr[c0 : c0 + _PAIR_CHUNK], k)
+        for d, q in ((0, k), *((1, x) for x in neighbours)):
+            left = np.searchsorted(sranks, q, "left")
+            right = np.searchsorted(sranks, q, "right")
+            # A codeword's own rank always finds its own run.
             hit = np.flatnonzero(right - left > (1 if d == 0 else 0))
             rows.append(hit)
             lo.append(left[hit])
@@ -221,7 +270,8 @@ def _consecutive_at_two(x: np.ndarray, dist: Dist) -> bool:
 
 
 def _linf_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.abs(x - y).max(axis=-1)
+    # Codewords are unsigned: subtract them as signed values.
+    return np.abs(x.astype(np.int32) - y).max(axis=-1)
 
 
 def _kendall_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -232,12 +282,15 @@ def _order_bitmaps(arr: np.ndarray) -> np.ndarray:
     """(m, words) uint64 order bitmaps: bit (u, v) set when rank u precedes rank v."""
     m, n = arr.shape
     pos = np.argsort(arr, axis=1)
-    value_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    bits = np.zeros((m, max(1, -(-len(value_pairs) // 64))), dtype=np.uint64)
-    for b, (u, v) in enumerate(value_pairs):
-        before = (pos[:, u] < pos[:, v]).astype(np.uint64)
-        bits[:, b // 64] |= before << np.uint64(b % 64)
-    return bits
+    pairs = n * (n - 1) // 2
+    bits = np.zeros((m, 8 * max(1, -(-pairs // 64))), dtype=np.uint8)
+    rows = max(1, (1 << 22) // max(1, pairs))  # rows per batch of pair comparisons
+    for r0 in range(0, m, rows):
+        p = pos[r0 : r0 + rows]
+        before = np.concatenate([p[:, u, None] < p[:, u + 1 :] for u in range(n)], axis=1)
+        packed = np.packbits(before, axis=1, bitorder="little")
+        bits[r0 : r0 + rows, : packed.shape[1]] = packed
+    return bits.view(np.uint64)
 
 
 def _pairwise_scan(x: np.ndarray, dist: Dist) -> tuple[int, list[Violation]]:

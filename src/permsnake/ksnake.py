@@ -37,7 +37,9 @@ from .verify import SnakeReport, verify_code
 
 EMBEDDED_CORE = (3, 3, 5, 3, 3, 5, 3, 5, 5, 3, 3, 5, 3, 3, 5, 3, 5, 5, 5)
 
-MAX_SEARCH_N = 16  # the largest n whose codewords the certificate packs
+# The largest n `search ksnake` accepts.  Ranks would certify codes up to
+# n = 20, but n > 16 exits 2 with a one-line error, and exit codes are fixed.
+MAX_SEARCH_N = 16
 _TABLE_COSET = 512  # cosets up to this size are numbered and bounded exactly
 
 

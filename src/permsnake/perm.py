@@ -18,12 +18,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import InvalidTransitionError
 
 Perm = tuple[int, ...]
 
 METRIC_LINF = "linf"
 METRIC_KENDALL = "kendall"
+
+_WALK_CHUNK = 1 << 14  # words joined into codeword rows at a time
 
 
 def identity(n: int) -> Perm:
@@ -117,6 +121,34 @@ def apply_sequence(p: Perm, transitions: Sequence[int]) -> list[Perm]:
     return out
 
 
+def _walk(start: Perm, transitions: Sequence[int]) -> np.ndarray:
+    """Every word a push-to-the-top walk visits, start first, as one uint16 array.
+
+    The word is a ``bytes`` object of 2 bytes per value, so one move is
+    three slices, and about 16 K words at a time are joined into rows of
+    the (len(transitions) + 1, n) result; no tuple per word is made.
+    """
+    n = len(start)
+    if transitions and not (2 <= min(transitions) and max(transitions) <= n):
+        bad = next(i for i in transitions if not 2 <= i <= n)
+        raise InvalidTransitionError(f"transition index {bad} outside 2..{n}")
+    # (moved value, prefix, suffix) byte slices of each move
+    cuts = [(slice(2 * i - 2, 2 * i), slice(2 * i - 2), slice(2 * i, None)) for i in range(n + 1)]
+    chain = np.empty((len(transitions) + 1, n), dtype=np.uint16)
+    chain[0] = start
+    word = chain[0].tobytes()
+    for c0 in range(0, len(transitions), _WALK_CHUNK):
+        words: list[bytes] = []
+        push = words.append
+        for i in transitions[c0 : c0 + _WALK_CHUNK]:
+            moved, prefix, suffix = cuts[i]
+            word = word[moved] + word[prefix] + word[suffix]
+            push(word)
+        block = np.frombuffer(b"".join(words), dtype=np.uint16).reshape(len(words), n)
+        chain[1 + c0 : 1 + c0 + len(words)] = block
+    return chain
+
+
 @dataclass(frozen=True)
 class GrayCode:
     """A Gray code given by start, transitions and a cyclic flag.
@@ -126,6 +158,16 @@ class GrayCode:
     last codeword back to the start; a noncyclic code has size
     len(transitions) + 1.  Snake blocks are noncyclic Gray codes and
     Kendall snakes are cyclic ones tagged with the Kendall metric.
+
+    ``_chain`` walks the transitions once into one uint16 array of
+    every word they visit; ``end`` is its last row and ``_codewords`` its
+    first ``size`` rows.  ``codewords()`` is a list-of-tuples view.
+
+    >>> code = GrayCode(3, (1, 2, 3), (3, 3, 3), True, METRIC_LINF)
+    >>> code.codewords(), code.end
+    ([(1, 2, 3), (3, 1, 2), (2, 3, 1)], (1, 2, 3))
+    >>> GrayCode(3, (1, 2, 3), (3, 2), False, METRIC_LINF).end
+    (1, 3, 2)
     """
 
     n: int
@@ -139,17 +181,22 @@ class GrayCode:
         return len(self.transitions) if self.cyclic else len(self.transitions) + 1
 
     @cached_property
+    def _chain(self) -> np.ndarray:
+        return _walk(self.start, self.transitions)
+
+    @property
     def end(self) -> Perm:
-        """The word reached after every transition, without materialising codewords."""
-        return apply_sequence(self.start, self.transitions)[-1]
+        """The word reached after every transition; a cyclic code closes iff it is start."""
+        return tuple(self._chain[-1].tolist())
 
     @cached_property
-    def _codewords(self) -> tuple[Perm, ...]:
-        chain = apply_sequence(self.start, self.transitions)
-        return tuple(chain[:-1]) if self.cyclic else tuple(chain)
+    def _codewords(self) -> np.ndarray:
+        return self._chain[: self.size]
 
     def codewords(self) -> list[Perm]:
-        return list(self._codewords)
+        cols = self._codewords.T.tolist()
+        # Zipping the columns makes each tuple directly, with no list per row.
+        return list(zip(*cols)) if cols else [()] * self.size
 
 
 def compose(p: Perm, q: Perm) -> Perm:

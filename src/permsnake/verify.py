@@ -1,12 +1,13 @@
 """Ground-truth validation of Gray codes and an exhaustive search oracle.
 
 ``verify_code`` recomputes everything from the transition sequence:
-cyclic closure by applying the final transition, and distinctness and
-the exact minimum distance over all pairs under the code's metric from
-one certificate (see ``_pairdist``).  The certificate sorts packed
-codeword keys, which also yields the first repeated codeword, and looks
-up every codeword's radius-1 ball, so it is exact at every size; no
-verdict rests on a sample.
+cyclic closure from the word the walk over every transition ends at, and
+distinctness and the exact minimum distance over all pairs under the
+code's metric from one certificate (see ``_pairdist``) over the codeword
+array.  The certificate sorts the codewords' Lehmer ranks, which also
+yields the first repeated codeword, and looks up every codeword's
+radius-1 ball, so it is exact at every size; no verdict rests on a
+sample.
 
 ``exhaustive_max_snake`` is an independent oracle for tiny n: a full
 depth-first enumeration of snakes over push-to-the-top moves, used to
@@ -26,7 +27,6 @@ from .perm import (
     METRIC_KENDALL,
     METRIC_LINF,
     GrayCode,
-    apply_transition,
     identity,
     kendall_distance,
     linf_distance,
@@ -104,10 +104,10 @@ def verify_code(code: GrayCode, mode: str | None = None) -> SnakeReport:
     Every mode runs the exact certificate over all m(m-1)/2 pairs and
     reports mode=exhaustive; "sampled" and None are accepted as aliases.
     """
-    codewords = code.codewords()
-    m = len(codewords)
     if mode not in _MODES:
         raise ValueError(f"unknown verification mode {mode!r}")
+    codewords = code._codewords
+    m = len(codewords)
 
     kernel = (
         _pairdist.min_pairwise_linf
@@ -122,10 +122,8 @@ def verify_code(code: GrayCode, mode: str | None = None) -> SnakeReport:
 
     cyclic_ok: bool | None = None
     if code.cyclic:
-        # An empty cyclic code has no closing transition to apply.
-        cyclic_ok = m > 0 and (
-            apply_transition(codewords[-1], code.transitions[-1]) == codewords[0]
-        )
+        # An empty cyclic code has no closing transition; a closing one ends at start.
+        cyclic_ok = m > 0 and code.end == tuple(code.start)
 
     return SnakeReport(
         size=m,

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import tempfile
 import time
@@ -124,6 +125,30 @@ def test_verify_documents(tmp_path, capsys):
 
     rc, _, stderr = run(capsys, "verify", str(tmp_path / "missing.txt"))
     assert rc == 2
+
+
+def test_verify_300_symbol_document(tmp_path, capsys):
+    # Values past 255 and differences taken as signed: three rotations of
+    # 1..300, whose closest pair (the first and the last) is at 297.
+    doc = tmp_path / "n300.txt"
+    doc.write_text(
+        "snake n=300 size=4 metric=linf cyclic=false method=test\n"
+        + " ".join(map(str, range(1, 301))) + "\n300 300 300\n",
+        encoding="utf-8",
+    )
+    bound = math.factorial(300) // 2**150
+    rc, stdout, _ = run(capsys, "verify", str(doc))
+    assert rc == 0
+    assert stdout == (
+        "size:         4\n"
+        "distinct:     True\n"
+        "cyclic:       n/a\n"
+        "min distance: 297 (linf)\n"
+        f"size bound:   {bound}\n"
+        "mode:         exhaustive (6 pairs)\n"
+        "verdict:      VALID\n"
+        f"valid=true size=4 min_d=297 metric=linf bound={bound} mode=exhaustive\n"
+    )
 
 
 def test_verify_malformed_documents_exit_2_with_one_line(tmp_path, capsys):

@@ -96,6 +96,13 @@ def test_unknown_mode_raises():
         verify_code(code, "both")
 
 
+def test_unknown_mode_raises_before_codewords_are_built():
+    code = snake_from_rmgc(6)
+    with pytest.raises(ValueError, match="unknown verification mode"):
+        verify_code(code, "both")
+    assert "_codewords" not in vars(code)
+
+
 def test_oracle_linf_cyclic():
     best3, wit3 = exhaustive_max_snake(3, "linf", cyclic=True)
     assert best3 == 3

@@ -44,10 +44,18 @@ EXAMPLES = (
     GrayCode(13, tuple(range(13, 0, -1)), (13, 3, 3, 3, 13, 2), True, "kendall"),
     GrayCode(13, tuple(range(1, 14)), (3, 5, 3, 7, 3), False, "kendall"),
     GrayCode(12, tuple(range(12, 0, -1)), (4, 4, 4, 9, 6), False, "kendall"),
-    # n = 17 does not pack into a 64-bit key: the pairwise scan runs.
+    # n = 17 ranks are looked up in the sorted ranks, not a bitmap.
     GrayCode(17, tuple(range(1, 18)), (17, 2, 9, 2, 2, 16), False, "linf"),
     GrayCode(17, tuple(range(1, 18)), (17, 3, 9, 2, 2, 16), True, "kendall"),
+    # n = 21 has no int64 rank: the pairwise scan runs.
+    GrayCode(21, tuple(range(1, 22)), (21, 2, 9, 2, 2, 16), False, "linf"),
+    GrayCode(21, tuple(range(1, 22)), (21, 3, 9, 2, 2, 16), True, "kendall"),
+    # n = 300: values past 255, minimum 297 under Chebyshev.
+    GrayCode(300, tuple(range(1, 301)), (300, 300, 300), False, "linf"),
+    GrayCode(300, tuple(range(300, 0, -1)), (300, 2, 150), False, "kendall"),
 )
+
+PLANTS = ((), (2,), (2, 2), (2,) * 4, (2,) * 20)
 
 
 def push(p, i):
@@ -104,17 +112,20 @@ def codes(draw):
     Planting ``t2 t2`` repeats a codeword, and ``t2`` four times repeats it
     three times; a lone ``t2`` swaps the first two values, which is Kendall
     distance 1 and Chebyshev distance 1 when the two values are adjacent.
-    Twenty ``t2`` give more close pairs than VIOLATION_CAP.  n runs to 13
-    for packed keys and to 17, past what a 64-bit key holds.
+    Twenty ``t2`` give more close pairs than VIOLATION_CAP.  n runs to 12
+    for the rank bitmap, to 13 and 17 for the sorted ranks, to 21, past
+    what an int64 rank holds, and to 300, past what a byte holds.  At
+    n = 300 a code has at most 6 words, since the brute-force Kendall
+    distance takes O(n²) per pair.
     """
     if draw(st.booleans()):
         base = draw(st.sampled_from(KNOWN))
         n, start, transitions = base.n, base.start, list(base.transitions)
     else:
-        n = draw(st.one_of(st.integers(2, 6), st.sampled_from([12, 13, 17])))
+        n = draw(st.one_of(st.integers(2, 6), st.sampled_from([12, 13, 17, 21, 300])))
         start = tuple(draw(st.permutations(range(1, n + 1))))
-        transitions = draw(st.lists(st.integers(2, n), max_size=40))
-    plant = draw(st.sampled_from([(), (2,), (2, 2), (2,) * 4, (2,) * 20]))
+        transitions = draw(st.lists(st.integers(2, n), max_size=40 if n < 300 else 3))
+    plant = draw(st.sampled_from(PLANTS if n < 300 else PLANTS[:3]))
     at = draw(st.integers(0, len(transitions)))
     transitions[at:at] = plant
     cyclic = draw(st.booleans())
@@ -144,14 +155,14 @@ def test_verify_code_matches_brute_force(code):
 
 
 def test_examples_reach_every_branch():
-    # The repeated, crowded, n = 17 and minimum-3 draws above are what
+    # The repeated, crowded, large-n and minimum-3 draws above are what
     # they claim to be.
     reports = [verify_code(code) for code in EXAMPLES]
     assert reports[0].min_distance == 3
     assert [r.min_distance for r in reports[1:4]] == [0, 0, 0]
     assert [len(r.violations) for r in reports[2:4]] == [VIOLATION_CAP] * 2
     assert [r.min_distance for r in reports[6:8]] == [2, 3]
-    assert {code.n for code in EXAMPLES} >= {12, 13, 17}
+    assert {code.n for code in EXAMPLES} >= {12, 13, 17, 21, 300}
 
 
 @settings(max_examples=300, deadline=None)
