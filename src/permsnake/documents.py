@@ -14,11 +14,17 @@ a ``ksnake n=<n> size=<M>`` header, the start line and the M cyclic
 transitions on one line, and never a listing.  RMGC exports use the
 ``rmgc n=<n> len=<n!>`` header and carry no start line.  All three share
 one header reader, and both snake kinds one start-and-transitions parser.
+
+Transition lines and the codeword listing are written by one vectorised
+token writer, ``_token_chunks``, from integer arrays; a listing is read back
+into one array and compared with the recomputed codewords in one pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ParseError, VerificationError
 from .perm import (
@@ -32,7 +38,10 @@ from .perm import (
 )
 from .rmgc import RmgcSequence
 
-_WRAP = 30
+_WRAP = 30  # transition tokens per line
+_CHUNK_TOKENS = 1 << 16  # about this many tokens are written at a time
+_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
+_SPACE, _NEWLINE = ord(" "), ord("\n")
 
 KIND_SNAKE = "snake"
 KIND_KSNAKE = "ksnake"
@@ -55,23 +64,58 @@ def detect_kind(text: str) -> str:
     raise ParseError("empty document")
 
 
-def _wrapped(seq: tuple[int, ...]) -> list[str]:
-    """Transition lines of _WRAP tokens, made into strings one line at a time."""
-    return [" ".join(map(str, seq[at : at + _WRAP])) for at in range(0, len(seq), _WRAP)]
+def _token_chunks(values: np.ndarray, per_line: int) -> list[str]:
+    """The non-negative integers of values as text, per_line tokens to a line.
+
+    Tokens are separated by single spaces, and every line ends in a newline,
+    the last one too.  The text comes in chunks of whole lines, for the
+    caller to join once with what surrounds it.  A chunk's digits fill a
+    (tokens, width + 1) uint8 grid right-aligned, its last column holds the
+    separators, and one mask drops the leading zeros, so no temporary is
+    larger than a chunk.
+
+    >>> "".join(_token_chunks(np.array([3, 10, 2, 123, 7]), 2))
+    '3 10\\n2 123\\n7\\n'
+    """
+    flat = values.reshape(-1)
+    step = max(1, _CHUNK_TOKENS // per_line) * per_line
+    chunks = []
+    for c0 in range(0, len(flat), step):
+        v = flat[c0 : c0 + step]
+        width = len(str(v.max()))
+        grid = np.empty((len(v), width + 1), dtype=np.uint8)
+        keep = np.ones(grid.shape, dtype=bool)
+        for col in range(width):
+            scale = 10 ** (width - 1 - col)
+            grid[:, col] = _DIGITS[v // scale % 10]
+            if col < width - 1:
+                keep[:, col] = v >= scale
+        grid[:, width] = _SPACE
+        grid[per_line - 1 :: per_line, width] = _NEWLINE
+        grid[-1, width] = _NEWLINE  # chunks hold whole lines but the last
+        chunks.append(grid[keep].tobytes().decode("ascii"))
+    return chunks
+
+
+def _as_array(seq: Sequence[int]) -> np.ndarray:
+    """A sequence of non-negative ints as an array, without an int64 copy when all are below 256."""
+    try:
+        return np.frombuffer(bytes(seq), dtype=np.uint8)
+    except ValueError:  # a value of 256 or more
+        return np.array(seq, dtype=np.uint64)
 
 
 def format_document(doc: CodeDocument, include_codewords: bool = False) -> str:
     code = doc.code
-    lines = [
+    parts = [
         f"snake n={code.n} size={code.size} metric={code.metric_tag} "
-        f"cyclic={str(code.cyclic).lower()} method={doc.method}"
+        f"cyclic={str(code.cyclic).lower()} method={doc.method}\n",
+        f"{format_perm(code.start)}\n",
+        *_token_chunks(_as_array(code.transitions), _WRAP),
     ]
-    lines.append(format_perm(code.start))
-    lines.extend(_wrapped(code.transitions))
     if include_codewords:
-        lines.append("codewords:")
-        lines.extend(format_perm(c) for c in code.codewords())
-    return "\n".join(lines) + "\n"
+        parts += ["codewords:\n", *_token_chunks(code._codewords, code.n)]
+    return "".join(parts)
 
 
 def _read(
@@ -145,16 +189,48 @@ def parse_document(text: str) -> CodeDocument:
         body, listing = lines[1:cut], lines[cut + 1 :]
     code = _parse_code(body, n, size, cyclic, metric)
     if listing is not None:
-        listed = _parsed(list, map(parse_perm, listing))
-        if listed != code.codewords():
-            diverge = next(
-                i for i, (a, b) in enumerate(zip(listed, code.codewords())) if a != b
-            ) if len(listed) == size else None
-            where = f" (first divergence at codeword {diverge})" if diverge is not None else ""
-            raise VerificationError(
-                f"codeword listing does not match the transitions{where}"
-            )
+        listed = _listed(listing, n)
+        words = code._codewords  # walked first: a bad transition raises before any verdict
+        mismatch = "codeword listing does not match the transitions"
+        if len(listed) != size:
+            raise VerificationError(mismatch)
+        diverge = np.flatnonzero((listed != words).any(axis=1))
+        if len(diverge):
+            raise VerificationError(f"{mismatch} (first divergence at codeword {diverge[0]})")
     return CodeDocument(code, fields.get("method", "unknown"))
+
+
+def _listed(listing: list[str], n: int) -> np.ndarray:
+    """The codewords a listing names, as one (m, n) int64 array.
+
+    A malformed line raises the ParseError ``parse_perm`` gives, for the
+    first such line.  A well-formed line of another length than n matches
+    no codeword, so it reads as a row of zeros, which matches none either.
+    """
+    try:
+        flat = np.fromiter(_values(listing, n), dtype=np.int64, count=n * len(listing))
+    except (ValueError, OverflowError):
+        pass
+    else:
+        listed = flat.reshape(len(listing), n)
+        if (np.sort(listed, axis=1) == np.arange(1, n + 1)).all():
+            return listed
+    # Some line is malformed or of another length: parse line by line, so
+    # that the first malformed line is the one named.
+    perms = _parsed(list, map(parse_perm, listing))
+    zeros = (0,) * n
+    return np.array(
+        [p if len(p) == n else zeros for p in perms], dtype=np.int64
+    ).reshape(len(perms), n)
+
+
+def _values(listing: list[str], n: int) -> Iterator[int]:
+    """The ints of the listing's lines, in order; a line of other than n tokens raises ValueError."""
+    for line in listing:
+        row = line.split()
+        if len(row) != n:
+            raise ValueError(f"a listing line holds {len(row)} values, not {n}")
+        yield from map(int, row)
 
 
 def format_ksnake(snake: GrayCode) -> str:
@@ -175,8 +251,7 @@ def parse_ksnake_fields(text: str) -> GrayCode:
 
 
 def format_rmgc_document(r: RmgcSequence) -> str:
-    lines = [f"rmgc n={r.n} len={len(r.seq)}", *_wrapped(r.seq)]
-    return "\n".join(lines) + "\n"
+    return "".join([f"rmgc n={r.n} len={len(r.seq)}\n", *_token_chunks(_as_array(r.seq), _WRAP)])
 
 
 def parse_rmgc_document(text: str) -> RmgcSequence:

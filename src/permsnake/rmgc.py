@@ -8,12 +8,18 @@ Since n-1 consecutive t_n pushes rotate the whole word left by one, the
 lifted transition acts like t_j on the trailing n-1 values, in a rotated
 frame, and the n rotations in between visit n fresh permutations each.
 
-The base case is the hand-rolled 3-sequence (t3 t3 t2 t3 t3 t2).
+The base case is the hand-rolled 3-sequence (t3 t3 t2 t3 t3 t2).  Each
+level is lifted with one numpy broadcast: an (n-1)! x n grid of t_n whose
+last column holds t_{n-j+1}, read back as the tuple ``RmgcSequence.seq``.
 
 Three positions of the built sequence are fixed and load-bearing for the
 block constructions downstream: position 1 holds t_n, position n holds
 t_2, and position n^2-n holds t_{n-1}.  ``build_rmgc`` checks them on
 every build, also under ``python -O``, rather than trusting the recursion.
+
+``complete_and_cyclic`` certifies a sequence without a tuple per word: it
+walks the sequence once into one array of words and marks each word's
+Lehmer rank in an n!-entry array.
 """
 from __future__ import annotations
 
@@ -22,10 +28,14 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perm import apply_sequence, identity
+import numpy as np
+
+from ._pairdist import _ranks
+from .perm import _walk, identity
 
 BASE_N = 3
 MAX_N = 10  # 10! = 3,628,800 transitions; larger sequences are refused
+_RANK_CHUNK = 1 << 16  # words ranked at a time by complete_and_cyclic
 
 
 @dataclass(frozen=True)
@@ -64,12 +74,11 @@ def build_rmgc(n: int) -> RmgcSequence:
     if n == BASE_N:
         result = base_t3()
     else:
-        inner = build_rmgc(n - 1)
-        seq: list[int] = []
-        for j in inner.seq:
-            seq.extend([n] * (n - 1))
-            seq.append(n - j + 1)
-        result = RmgcSequence(n, tuple(seq))
+        inner = np.frombuffer(bytes(build_rmgc(n - 1).seq), dtype=np.uint8)
+        # Row j: n-1 pushes of t_n, then t_{n-j+1} for the inner transition t_j.
+        grid = np.full((len(inner), n), n, dtype=np.uint8)
+        grid[:, -1] = n + 1 - inner
+        result = RmgcSequence(n, tuple(grid.tobytes()))
     _assert_special_positions(result)
     return result
 
@@ -106,6 +115,22 @@ def rotate_after(r: RmgcSequence | Sequence[int], s: int) -> tuple[int, ...]:
 
 
 def complete_and_cyclic(r: RmgcSequence) -> tuple[bool, bool]:
-    """Whether r, run from the identity, visits all n! words and returns to it."""
-    chain = apply_sequence(identity(r.n), r.seq)
-    return len(set(chain[:-1])) == math.factorial(r.n), chain[-1] == chain[0]
+    """Whether r, run from the identity, visits all n! words and returns to it.
+
+    One walk gives every word, the start first and the word after the last
+    transition last.  The first n! words are complete iff their Lehmer ranks
+    set every entry of an n!-entry array, and the walk is cyclic iff its
+    last word is its first.  A transition outside 2..n raises
+    InvalidTransitionError naming the first such index.
+
+    >>> complete_and_cyclic(base_t3())
+    (True, True)
+    >>> complete_and_cyclic(RmgcSequence(3, (3, 3, 3, 3, 3, 3)))
+    (False, True)
+    """
+    chain = _walk(identity(r.n), r.seq)
+    words = chain[:-1]
+    seen = np.zeros(len(words), dtype=bool)
+    for c0 in range(0, len(words), _RANK_CHUNK):
+        seen[_ranks(words[c0 : c0 + _RANK_CHUNK].T.astype(np.int8) - 1)] = True
+    return bool(seen.all()), bool((chain[-1] == chain[0]).all())

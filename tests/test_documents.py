@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from permsnake.blocks import rmgc_block
 from permsnake.constructions import GrayCode, snake_from_rmgc
 from permsnake.documents import (
     CodeDocument,
+    _token_chunks,
     detect_kind,
     format_document,
     format_ksnake,
@@ -16,8 +19,28 @@ from permsnake.documents import (
     parse_ksnake_fields,
     parse_rmgc_document,
 )
-from permsnake.errors import ParseError, VerificationError
+from permsnake.errors import InvalidTransitionError, ParseError, VerificationError
+from permsnake.perm import format_perm
 from permsnake.rmgc import RmgcSequence, build_rmgc
+
+
+def reference_lines(values, per_line):
+    """Lines of per_line tokens, each made with str.join."""
+    return [" ".join(map(str, values[at : at + per_line])) for at in range(0, len(values), per_line)]
+
+
+def reference_document(doc, with_codewords=False):
+    """A snake document formatted line by line with str.join and format_perm."""
+    code = doc.code
+    lines = [
+        f"snake n={code.n} size={code.size} metric={code.metric_tag} "
+        f"cyclic={str(code.cyclic).lower()} method={doc.method}",
+        format_perm(code.start),
+        *reference_lines(code.transitions, 30),
+    ]
+    if with_codewords:
+        lines += ["codewords:", *map(format_perm, code.codewords())]
+    return "\n".join(lines) + "\n"
 
 
 def test_cyclic_document_round_trip():
@@ -96,7 +119,7 @@ def test_rmgc_document_errors():
 @st.composite
 def documents(draw):
     """Any Gray code the snake format can hold, under a one-token method name."""
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8) | st.integers(9, 300))
     start = tuple(draw(st.permutations(range(1, n + 1))))
     cyclic = n >= 2 and draw(st.booleans())
     longest = 70 if n >= 2 else 0
@@ -115,6 +138,7 @@ def body_tokens(lines):
 @given(documents(), st.booleans())
 def test_document_round_trip_property(doc, with_codewords):
     text = format_document(doc, include_codewords=with_codewords)
+    assert text == reference_document(doc, with_codewords)
     assert parse_document(text) == doc
     lines = text.splitlines()
     body = lines[2 : lines.index("codewords:")] if with_codewords else lines[2:]
@@ -135,6 +159,7 @@ def rmgc_sequences(draw):
 @given(rmgc_sequences())
 def test_rmgc_document_round_trip_property(r):
     text = format_rmgc_document(r)
+    assert text == "\n".join([f"rmgc n={r.n} len={len(r.seq)}", *reference_lines(r.seq, 30)]) + "\n"
     assert parse_rmgc_document(text) == r
     lines = text.splitlines()
     assert lines[0] == f"rmgc n={r.n} len={len(r.seq)}"
@@ -160,3 +185,114 @@ def test_ksnake_round_trip_property(snake):
     lines = text.splitlines()
     assert lines[0] == f"ksnake n={snake.n} size={snake.size}"
     assert len(lines) == 3 and len(lines[2].split()) == len(snake.transitions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 9) | st.integers(10, 9999), max_size=100),
+    st.integers(1, 40),
+    st.sampled_from([np.uint16, np.int64]),
+)
+def test_token_chunks_matches_str_join(values, per_line, dtype):
+    text = "".join(_token_chunks(np.array(values, dtype=dtype), per_line))
+    assert text == "".join(line + "\n" for line in reference_lines(values, per_line))
+
+
+@pytest.mark.parametrize("per_line", [1, 7, 30, 300])
+def test_token_chunks_across_chunks(per_line):
+    """Chunks of whole lines, each with its own widest token, join seamlessly."""
+    rng = random.Random(per_line)
+    values = []
+    for top in (9, 9999, 99, 9, 999, 300):
+        values += [rng.randint(0, top) for _ in range(70_001)]
+    text = "".join(_token_chunks(np.array(values, dtype=np.uint16), per_line))
+    assert text == "".join(line + "\n" for line in reference_lines(values, per_line))
+
+
+@pytest.mark.parametrize("count", [0, 1, 29, 30, 31, 61])
+@pytest.mark.parametrize("with_codewords", [False, True])
+def test_transition_lines_at_the_wrap(count, with_codewords):
+    transitions = tuple((2, 3, 4)[k % 3] for k in range(count))
+    doc = CodeDocument(GrayCode(4, (2, 1, 4, 3), transitions, False, "linf"), "x")
+    text = format_document(doc, with_codewords)
+    assert text == reference_document(doc, with_codewords)
+    lines = text.splitlines()
+    body = lines[2 : lines.index("codewords:")] if with_codewords else lines[2:]
+    assert len(body) == -(-count // 30)
+    assert parse_document(text) == doc
+
+
+def test_one_codeword_document_has_no_transition_line():
+    doc = CodeDocument(GrayCode(3, (3, 1, 2), (), False, "kendall"), "single")
+    assert format_document(doc) == (
+        "snake n=3 size=1 metric=kendall cyclic=false method=single\n3 1 2\n"
+    )
+    assert format_document(doc, True) == reference_document(doc, True)
+    assert parse_document(format_document(doc, True)) == doc
+
+
+@pytest.mark.parametrize("n", [1, 11, 300])
+def test_codeword_listing_matches_format_perm(n):
+    rng = random.Random(n)
+    start = tuple(rng.sample(range(1, n + 1), n))
+    transitions = tuple(rng.randint(2, n) for _ in range(40)) if n > 1 else ()
+    doc = CodeDocument(GrayCode(n, start, transitions, False, "linf"), "listing")
+    text = format_document(doc, include_codewords=True)
+    assert text == reference_document(doc, with_codewords=True)
+    assert parse_document(text) == doc
+
+
+def _edited_listing(*edits):
+    """The thm1 n=6 document with its listing, after (line index, text) edits.
+
+    Its lines are the header, the start, two transition lines, "codewords:"
+    and the 54 listed codewords, so listing line k is line 5 + k.  A text of
+    None deletes the line.
+    """
+    lines = format_document(CodeDocument(snake_from_rmgc(6), "thm1"), True).splitlines()
+    assert lines[4] == "codewords:" and len(lines) == 59
+    for at, line in edits:
+        if line is None:
+            del lines[at]
+        else:
+            lines[at] = line
+    return "\n".join(lines) + "\n"
+
+
+_MISMATCH = "codeword listing does not match the transitions"
+_BAD_TRANSITION = (2, "9" + " 3" * 29)
+
+
+@pytest.mark.parametrize(
+    "edits, error, message",
+    [
+        ([(8, "6 5 4 3 2 1")], VerificationError, f"{_MISMATCH} (first divergence at codeword 3)"),
+        ([(-1, "6 5 4 3 2 1")], VerificationError, f"{_MISMATCH} (first divergence at codeword 53)"),
+        # A line of another length is a well-formed permutation that matches nothing.
+        ([(7, "1 2 3")], VerificationError, f"{_MISMATCH} (first divergence at codeword 2)"),
+        ([(7, "1 2 3 4 5 6 7")], VerificationError, f"{_MISMATCH} (first divergence at codeword 2)"),
+        ([(-1, None)], VerificationError, _MISMATCH),
+        ([(7, "1 2 3"), (-1, None)], VerificationError, _MISMATCH),
+        ([(9, "1 2 x 4 5 6")], ParseError, "bad permutation text '1 2 x 4 5 6'"),
+        ([(9, "1 1 3 4 5 6")], ParseError, "not a permutation of 1..6: [1, 1, 3, 4, 5, 6]"),
+        ([(9, "1 2 3 4 5 " + "9" * 25)], ParseError, f"not a permutation of 1..6: [1, 2, 3, 4, 5, {'9' * 25}]"),
+        # The first malformed line is named, also after a line of another length.
+        ([(7, "1 2 3"), (10, "2 x")], ParseError, "bad permutation text '2 x'"),
+        # The listing is read before the transitions are walked.
+        ([_BAD_TRANSITION, (10, "1 1")], ParseError, "not a permutation of 1..2: [1, 1]"),
+        ([_BAD_TRANSITION, (-1, None)], InvalidTransitionError, "transition index 9 outside 2..6"),
+        ([_BAD_TRANSITION], InvalidTransitionError, "transition index 9 outside 2..6"),
+    ],
+)
+def test_codeword_listing_errors(edits, error, message):
+    with pytest.raises(error) as raised:
+        parse_document(_edited_listing(*edits))
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+@pytest.mark.parametrize("prefix, sep", [("+", " "), ("0", " "), ("", "\t"), ("", "  ")])
+def test_codeword_listing_reads_tokens_with_int(prefix, sep):
+    """A listing line may spell its values any way that split() and int() read."""
+    code = snake_from_rmgc(6)
+    line = sep.join(f"{prefix}{v}" for v in code.start)
+    assert parse_document(_edited_listing((5, line))).code == code

@@ -3,14 +3,18 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from permsnake import rmgc
 from permsnake.documents import format_rmgc_document
+from permsnake.errors import InvalidTransitionError
 from permsnake.perm import apply_sequence, identity
 from permsnake.rmgc import (
     RmgcSequence,
     base_t3,
     build_rmgc,
+    complete_and_cyclic,
     rotate_after,
     special_positions,
 )
@@ -21,10 +25,14 @@ def test_doctests():
     assert failures == 0
 
 
-def is_complete_cyclic(n, seq, start=None):
+def reference_complete_cyclic(n, seq, start=None):
+    """(complete, cyclic) read off the chain as tuples and a set of them."""
     chain = apply_sequence(start or identity(n), seq)
-    codes = chain[:-1]
-    return chain[-1] == chain[0] and len(set(codes)) == math.factorial(n)
+    return len(set(chain[:-1])) == math.factorial(n), chain[-1] == chain[0]
+
+
+def is_complete_cyclic(n, seq, start=None):
+    return all(reference_complete_cyclic(n, seq, start))
 
 
 def test_base_sequence():
@@ -111,3 +119,58 @@ def test_export_format():
     tokens = " ".join(lines[1:]).split()
     assert len(tokens) == 24
     assert format_rmgc_document(build_rmgc(3)).splitlines()[1:] == ["3 3 2 3 3 2"]
+
+
+@st.composite
+def rmgc_candidates(draw):
+    """(n, n! transitions) for n = 2..6, each of one kind.
+
+    complete: a rotation of the built RMGC; nonclosing: the same with its
+    last transition changed, which keeps every word but misses the start;
+    edited: one other transition changed; random: any indices in 2..n;
+    out_of_range: one index outside 2..n put anywhere.
+    """
+    n = draw(st.integers(2, 6))
+    size = math.factorial(n)
+    base = rotate_after(build_rmgc(n), draw(st.integers(1, size))) if n >= 3 else (2, 2)
+    seq = list(base)
+    kind = draw(st.sampled_from(["complete", "nonclosing", "edited", "random", "out_of_range"]))
+    at = size - 1 if kind == "nonclosing" else draw(st.integers(0, size - 1))
+    if kind in ("nonclosing", "edited") and n >= 3:
+        seq[at] = draw(st.sampled_from([i for i in range(2, n + 1) if i != seq[at]]))
+    elif kind == "random":
+        seq = draw(st.lists(st.integers(2, n), min_size=size, max_size=size))
+    elif kind == "out_of_range":
+        seq[at] = draw(st.integers(-3, 1) | st.integers(n + 1, n + 4))
+    return n, tuple(seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rmgc_candidates())
+@example((3, (3, 3, 2, 3, 3, 2)))  # complete and cyclic
+@example((3, (3, 3, 3, 3, 3, 3)))  # cyclic, three words only
+@example((3, (3, 3, 2, 3, 3, 3)))  # every word, but it does not close
+@example((3, (3, 3, 3, 3, 3, 2)))  # neither
+@example((1, (2,)))  # no index is in range at n=1
+def test_complete_and_cyclic_matches_the_tuple_reference(case):
+    n, seq = case
+    r = RmgcSequence(n, seq)
+    try:
+        expected = reference_complete_cyclic(n, seq)
+    except InvalidTransitionError as exc:
+        with pytest.raises(InvalidTransitionError) as raised:
+            complete_and_cyclic(r)
+        assert str(raised.value) == str(exc)
+        return
+    assert complete_and_cyclic(r) == expected
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_build_rmgc_matches_the_list_lift(n):
+    """Each level is the transition-by-transition lift of the level below."""
+    lifted = []
+    for j in build_rmgc(n - 1).seq:
+        lifted.extend([n] * (n - 1))
+        lifted.append(n - j + 1)
+    assert type(build_rmgc(n).seq) is tuple
+    assert build_rmgc(n).seq == tuple(lifted)
