@@ -107,7 +107,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     else:  # pragma: no cover - argparse constrains the choices
         raise AssertionError(args.method)
 
-    report = verify_code(code, args.mode)
+    report = verify_code(code)
     if not report.valid:
         _info(report.render(), True)
         _info("refusing to emit an invalid code", True)
@@ -122,8 +122,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_verdict(code: GrayCode, mode: str | None) -> int:
-    report = verify_code(code, mode)
+def _print_verdict(code: GrayCode) -> int:
+    report = verify_code(code)
     print(report.render())
     print(report.summary_line())
     return 0 if report.valid else 1
@@ -145,9 +145,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         text = fh.read()
     kind = detect_kind(text)
     if kind == KIND_SNAKE:
-        return _print_verdict(parse_document(text).code, args.mode)
+        return _print_verdict(parse_document(text).code)
     if kind == KIND_KSNAKE:
-        return _print_verdict(parse_ksnake_fields(text), args.mode)
+        return _print_verdict(parse_ksnake_fields(text))
     if kind == KIND_RMGC:
         return _verify_rmgc_text(text)
     raise ParseError(f"unrecognised document kind {kind!r}")

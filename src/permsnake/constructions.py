@@ -1,11 +1,13 @@
 """The two cyclic snake constructions and the size and bound formulas.
 
-Both constructions share one pattern: a noncyclic block rearranges a
-front segment of the word while the tail stays parked, then a single
-boundary push pulls one tail value to the front.  The boundary pushes
-follow a complete cyclic Gray code over the tail values, so after all of
-its steps the tail has seen every arrangement and the word returns to
-the start.
+Both constructions share one round loop, ``_chain_blocks``: a noncyclic
+block rearranges a front segment of the word while the tail stays parked,
+then a single boundary push pulls one tail value to the front.  The
+boundary pushes follow a complete cyclic Gray code over the tail values,
+so after all of its steps the tail has seen every arrangement and the
+word returns to the start.  A block's end is its start relabelled by the
+block's position map (``GrayCode.end``), so no round walks its block; the
+finished code is walked once, when its codewords are asked for.
 
 ``snake_from_rmgc`` (CLI method ``thm1``) blocks over the even values
 and drives the odd tail with a complete RMGC; it reaches size
@@ -19,10 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .blocks import ksnake_block, rmgc_block
 from .perm import METRIC_LINF, GrayCode, Perm, apply_transition, check_perm
-from .rmgc import build_rmgc
+from .rmgc import RmgcSequence, build_rmgc
 
 RMGC_SNAKE_MAX_N = 12  # n=12 already materialises 522,720 codewords
 
@@ -74,6 +77,27 @@ def rmgc_snake_start(n: int) -> Perm:
     return check_perm([1] + evens + odds)
 
 
+def _chain_blocks(
+    start: Perm, tail_code: RmgcSequence, shift: int, block: Callable[[Perm, int], GrayCode]
+) -> GrayCode:
+    """Chain one block and one boundary push t_{idx+shift} per tail transition t_idx.
+
+    ``block(cur, boundary)`` builds the block from the round's start; the
+    rounds must return the word to start.
+    """
+    transitions: list[int] = []
+    cur = start
+    for idx in tail_code.seq:
+        boundary = idx + shift
+        code = block(cur, boundary)
+        transitions.extend(code.transitions)
+        transitions.append(boundary)
+        cur = apply_transition(code.end, boundary)
+    if cur != start:
+        raise AssertionError("boundary Gray code failed to close")
+    return GrayCode(len(start), start, tuple(transitions), cyclic=True, metric_tag=METRIC_LINF)
+
+
 def snake_from_rmgc(n: int) -> GrayCode:
     """Cyclic snake of size p!(q + q!) with p = ceil(n/2), q = floor(n/2).
 
@@ -88,27 +112,16 @@ def snake_from_rmgc(n: int) -> GrayCode:
     if n > RMGC_SNAKE_MAX_N:
         raise ValueError(f"n={n} exceeds the size cap {RMGC_SNAKE_MAX_N}")
     p, q = -(-n // 2), n // 2
-    sigma0 = rmgc_snake_start(n)
-    tail_code = build_rmgc(p)
-    transitions: list[int] = []
-    cur = sigma0
-    for idx in tail_code.seq:
-        pushed = cur[idx + q - 1]  # odd value the next boundary will push
-        at_q1 = cur[q]
+
+    def block(cur: Perm, boundary: int) -> GrayCode:
+        pushed, at_q1 = cur[boundary - 1], cur[q]
         if at_q1 not in (2 * q, 2):
             raise AssertionError(f"position {q + 1} holds {at_q1}")
         if abs(pushed - 2 * q) != 1:
-            variant = 1 if at_q1 == 2 * q else 2
-        else:
-            variant = 1 if at_q1 == 2 else 2
-        block = rmgc_block(cur, variant)
-        transitions.extend(block.transitions)
-        boundary = idx + q
-        transitions.append(boundary)
-        cur = apply_transition(block.end, boundary)
-    if cur != sigma0:
-        raise AssertionError("boundary Gray code failed to close")
-    return GrayCode(n, sigma0, tuple(transitions), cyclic=True, metric_tag=METRIC_LINF)
+            return rmgc_block(cur, 1 if at_q1 == 2 * q else 2)
+        return rmgc_block(cur, 1 if at_q1 == 2 else 2)
+
+    return _chain_blocks(rmgc_snake_start(n), build_rmgc(p), q, block)
 
 
 def ksnake_snake_start(n: int) -> Perm:
@@ -131,18 +144,11 @@ def snake_from_ksnake(n: int, snake: GrayCode) -> GrayCode:
     segment, and the boundary pushes run a complete (2k+1)-RMGC over the
     remaining 2k+1 tail values.
     """
-    if n % 4 == 1:
-        k = (n - 1) // 4
-        front = 2 * k + 1
-        shift = 2 * k
-    elif n % 4 == 3:
-        k = (n - 3) // 4
-        front = 2 * k + 3
-        shift = 2 * k + 2
-    else:
-        raise ValueError(f"n={n} is not of the form 4k+1 or 4k+3")
+    start = ksnake_snake_start(n)  # raises unless n = 4k+1 or 4k+3
+    k = (n - 1) // 4  # the k of both forms
     if k < 1:
         raise ValueError(f"n={n} is too small for the Kendall-snake construction")
+    front = n - 2 * k
     if snake.n != front:
         raise ValueError(
             f"need a Kendall snake over {front} symbols for n={n}, got {snake.n}"
@@ -151,16 +157,6 @@ def snake_from_ksnake(n: int, snake: GrayCode) -> GrayCode:
         raise ValueError(
             f"the snake's last transition must be t_{front}, got t_{snake.transitions[-1]}"
         )
-    sigma0 = ksnake_snake_start(n)
-    tail_code = build_rmgc(2 * k + 1)
-    transitions: list[int] = []
-    cur = sigma0
-    for idx in tail_code.seq:
-        block = ksnake_block(cur, snake.transitions)
-        transitions.extend(block.transitions)
-        boundary = idx + shift
-        transitions.append(boundary)
-        cur = apply_transition(block.end, boundary)
-    if cur != sigma0:
-        raise AssertionError("boundary Gray code failed to close")
-    return GrayCode(n, sigma0, tuple(transitions), cyclic=True, metric_tag=METRIC_LINF)
+    return _chain_blocks(
+        start, build_rmgc(2 * k + 1), front - 1, lambda cur, _: ksnake_block(cur, snake.transitions)
+    )

@@ -32,7 +32,6 @@ from .perm import (
     METRIC_LINF,
     GrayCode,
     format_perm,
-    format_transitions,
     parse_perm,
     parse_transitions,
 )
@@ -235,11 +234,11 @@ def _values(listing: list[str], n: int) -> Iterator[int]:
 
 def format_ksnake(snake: GrayCode) -> str:
     """Text form: header, start permutation, one line of transitions."""
-    return (
-        f"ksnake n={snake.n} size={snake.size}\n"
-        f"{format_perm(snake.start)}\n"
-        f"{format_transitions(snake.transitions)}\n"
-    )
+    return "".join([
+        f"ksnake n={snake.n} size={snake.size}\n",
+        f"{format_perm(snake.start)}\n",
+        *_token_chunks(_as_array(snake.transitions), max(1, len(snake.transitions))),
+    ])
 
 
 def parse_ksnake_fields(text: str) -> GrayCode:

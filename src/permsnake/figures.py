@@ -20,6 +20,7 @@ from .constructions import (
     snake_from_ksnake,
     snake_from_rmgc,
 )
+from .documents import _token_chunks
 from .ksnake import embedded_a5_snake
 from .perm import GrayCode, format_perm
 
@@ -39,20 +40,17 @@ def _boundary_rows(code: GrayCode, block_size: int) -> str:
 
 
 def generate_figure(name: str) -> str:
-    if name == "fig1":
-        block = rmgc_block(rmgc_snake_start(6), 1)
-        return "".join(format_perm(c) + "\n" for c in block.codewords())
-    if name == "fig2":
-        block = rmgc_block(rmgc_snake_start(6), 2)
-        return "".join(format_perm(c) + "\n" for c in block.codewords())
-    if name == "fig3":
-        return _boundary_rows(snake_from_rmgc(6), 9)
-    if name == "fig4":
+    if name in ("fig1", "fig2"):
+        block = rmgc_block(rmgc_snake_start(6), 1 if name == "fig1" else 2)
+    elif name == "fig4":
         block = ksnake_block(ksnake_snake_start(7), embedded_a5_snake().transitions)
-        return "".join(format_perm(c) + "\n" for c in block.codewords())
-    if name == "fig5":
+    elif name == "fig3":
+        return _boundary_rows(snake_from_rmgc(6), 9)
+    elif name == "fig5":
         return _boundary_rows(snake_from_ksnake(7, embedded_a5_snake()), 57)
-    raise ValueError(f"unknown figure {name!r}")
+    else:
+        raise ValueError(f"unknown figure {name!r}")
+    return "".join(_token_chunks(block._codewords, block.n))
 
 
 def golden_text(name: str) -> str:

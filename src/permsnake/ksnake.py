@@ -29,7 +29,6 @@ from .perm import (
     apply_transition,
     check_perm,
     identity,
-    parity,
     reachable_table,
     undo_transition,
 )
@@ -64,16 +63,16 @@ def verify_snake(snake: GrayCode) -> SnakeReport:
     report = verify_code(snake)
     if not report.cyclic_ok:
         raise VerificationError(
-            f"sequence does not close: ends at {list(snake.end)}, "
+            f"sequence does not close: ends at {snake._chain[-1].tolist()}, "
             f"started at {list(snake.start)}"
         )
     if not report.valid:
         (i, j), d = report.violations[0]
         what = "coincide" if not report.distinct else f"are at Kendall distance {d} < 2"
         raise VerificationError(f"codewords {i} and {j} {what}")
-    p0 = parity(snake.start)
-    for idx, c in enumerate(snake.codewords()):
-        if parity(c) != p0:
+    # t_i is an i-cycle on positions, so only an even i flips the parity.
+    for idx, i in enumerate(snake.transitions[: snake.size - 1], start=1):
+        if i % 2 == 0:
             raise VerificationError(f"codeword {idx} breaks the uniform parity")
     return report
 

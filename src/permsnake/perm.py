@@ -15,7 +15,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -149,6 +149,12 @@ def _walk(start: Perm, transitions: Sequence[int]) -> np.ndarray:
     return chain
 
 
+@lru_cache(maxsize=16)
+def _end_positions(n: int, transitions: tuple[int, ...]) -> tuple[int, ...]:
+    """Which start position each position of a walk's last word holds the value of."""
+    return tuple(_walk(tuple(range(n)), transitions)[-1].tolist())
+
+
 @dataclass(frozen=True)
 class GrayCode:
     """A Gray code given by start, transitions and a cyclic flag.
@@ -160,8 +166,11 @@ class GrayCode:
     Kendall snakes are cyclic ones tagged with the Kendall metric.
 
     ``_chain`` walks the transitions once into one uint16 array of
-    every word they visit; ``end`` is its last row and ``_codewords`` its
-    first ``size`` rows.  ``codewords()`` is a list-of-tuples view.
+    every word they visit; ``_codewords`` is its first ``size`` rows and
+    ``codewords()`` a list-of-tuples view.  Moves act on positions, not
+    values, so ``end`` is the start relabelled by one position map, which
+    is walked once per distinct transition tuple: blocks of one shape from
+    many starts share that walk.
 
     >>> code = GrayCode(3, (1, 2, 3), (3, 3, 3), True, METRIC_LINF)
     >>> code.codewords(), code.end
@@ -187,7 +196,7 @@ class GrayCode:
     @property
     def end(self) -> Perm:
         """The word reached after every transition; a cyclic code closes iff it is start."""
-        return tuple(self._chain[-1].tolist())
+        return tuple(self.start[j] for j in _end_positions(len(self.start), self.transitions))
 
     @cached_property
     def _codewords(self) -> np.ndarray:
@@ -300,8 +309,3 @@ def parse_transitions(text: str) -> tuple[int, ...]:
         except ValueError as exc:
             raise ValueError(f"bad transition token {tok!r}") from exc
     return tuple(out)
-
-
-def format_transitions(transitions: Sequence[int], prefix: str = "") -> str:
-    """Whitespace-separated transition tokens; prefix="t" gives "t3 t2"."""
-    return " ".join(f"{prefix}{i}" for i in transitions)

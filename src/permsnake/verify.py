@@ -1,8 +1,8 @@
 """Ground-truth validation of Gray codes and an exhaustive search oracle.
 
 ``verify_code`` recomputes everything from the transition sequence:
-cyclic closure from the word the walk over every transition ends at, and
-distinctness and the exact minimum distance over all pairs under the
+cyclic closure from the last word of the walk that gives the codewords,
+and distinctness and the exact minimum distance over all pairs under the
 code's metric from one certificate (see ``_pairdist``) over the codeword
 array.  The certificate sorts the codewords' Lehmer ranks, which also
 yields the first repeated codeword, and looks up every codeword's
@@ -35,8 +35,6 @@ from .perm import (
 )
 
 MODE_EXHAUSTIVE = "exhaustive"
-# Modes verify_code accepts; "sampled" is an alias of exhaustive.
-_MODES = (None, MODE_EXHAUSTIVE, "sampled")
 
 
 @dataclass
@@ -92,20 +90,15 @@ def _metric_bound(n: int, metric_tag: str) -> int:
     return snake_upper_bound(n)
 
 
-def verify_code(code: GrayCode, mode: str | None = None) -> SnakeReport:
+def verify_code(code: GrayCode) -> SnakeReport:
     """Verify a Gray code; every defect of the code lands in the report.
 
     Duplicates, a failed or missing closure (an empty cyclic code) and
-    close pairs are reported, not raised.  Input that does not describe a
-    code raises: an unknown mode raises ValueError, and a transition
-    outside 2..n raises InvalidTransitionError while the codewords are
-    derived.
-
-    Every mode runs the exact certificate over all m(m-1)/2 pairs and
-    reports mode=exhaustive; "sampled" and None are accepted as aliases.
+    close pairs are reported, not raised.  A transition outside 2..n does
+    not describe a code: it raises InvalidTransitionError while the
+    codewords are derived.  The exact certificate runs over all m(m-1)/2
+    pairs, and the report says mode=exhaustive.
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown verification mode {mode!r}")
     codewords = code._codewords
     m = len(codewords)
 
@@ -123,7 +116,7 @@ def verify_code(code: GrayCode, mode: str | None = None) -> SnakeReport:
     cyclic_ok: bool | None = None
     if code.cyclic:
         # An empty cyclic code has no closing transition; a closing one ends at start.
-        cyclic_ok = m > 0 and code.end == tuple(code.start)
+        cyclic_ok = m > 0 and tuple(code._chain[-1].tolist()) == tuple(code.start)
 
     return SnakeReport(
         size=m,

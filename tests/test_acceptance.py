@@ -99,7 +99,7 @@ def test_criterion_3_n6_snake():
         for idx, want in FIG3_BOUNDARY.items():
             assert cw[idx] == want
         assert apply_transition(cw[-1], code.transitions[-1]) == code.start
-        report = verify_code(code, "exhaustive")
+        report = verify_code(code)
         assert report.valid and report.cyclic_ok
         assert report.pairs_checked == 1431
         assert report.min_distance >= 2
@@ -110,7 +110,7 @@ def test_criterion_4_sizes_7_8_9():
         for n, want in ((7, 216), (8, 672), (9, 3360)):
             code = snake_from_rmgc(n)
             assert code.size == want
-            report = verify_code(code, "exhaustive")
+            report = verify_code(code)
             assert report.valid
             assert report.pairs_checked == want * (want - 1) // 2
 
@@ -143,7 +143,7 @@ def test_criterion_6_n7_snake_from_kendall():
         for idx, want in FIG5_BOUNDARY.items():
             assert cw[idx] == want
         assert apply_transition(cw[-1], code.transitions[-1]) == code.start
-        report = verify_code(code, "exhaustive")
+        report = verify_code(code)
         assert report.valid
         assert report.pairs_checked == 58311
         t = size_table(7)
@@ -268,6 +268,6 @@ def test_stretch_n9_kendall_construction():
     code = snake_from_ksnake(9, embedded_a5_snake())
     assert code.size == 6840 == 57 * math.factorial(5)
     assert code.size <= snake_upper_bound(9)
-    report = verify_code(code, "exhaustive")
+    report = verify_code(code)
     assert report.valid
     print(f"stretch n=9 [PASS] size 6840 verified ({report.pairs_checked} pairs)")

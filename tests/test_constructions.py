@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import pytest
 
+from permsnake import perm
+from permsnake.blocks import rmgc_block
 from permsnake.constructions import (
     GrayCode,
     ksnake_snake_start,
@@ -11,6 +14,7 @@ from permsnake.constructions import (
     snake_from_rmgc,
     snake_upper_bound,
 )
+from permsnake.documents import CodeDocument, format_document
 from permsnake.ksnake import build_ksnake, embedded_a5_snake, search_ksnake
 from permsnake.perm import apply_transition, linf_distance
 from permsnake.verify import verify_code
@@ -91,10 +95,10 @@ def test_rmgc_snake_rejects_out_of_range():
 
 
 def test_rmgc_snake_n10_exact_plus_structure():
-    # The certificate is exact at any size, whatever mode is asked for.
+    # The certificate is exact at any size.
     code = snake_from_rmgc(10)
     assert code.size == 15000 == size_table(10).m1
-    report = verify_code(code, "sampled")
+    report = verify_code(code)
     assert report.valid and report.mode == "exhaustive"
     assert report.pairs_checked == 15000 * 14999 // 2
     assert report.min_distance == 2
@@ -111,6 +115,57 @@ def test_ksnake_snake_n7_matches_boundary_rows():
     for idx, want in FIG5_BOUNDARY.items():
         assert cw[idx] == want, idx
     assert apply_transition(cw[-1], code.transitions[-1]) == code.start
+
+
+# sha256 of format_document(..., include_codewords=True), captured from an
+# implementation that walked every block to find its end: relabelled block
+# ends must reproduce those documents byte for byte.
+DOCUMENT_SHA256 = {
+    ("thm1", 6): "ba1cf162c8bf8405466436dada861b97656a8125b16e3267735f0506510eee32",
+    ("thm1", 7): "48e4ee23665b02e3716c7df4cac0753b025db96b0fc28d9d626d790c5c8c1ba5",
+    ("thm1", 8): "d8788b58c7558c7ade05329e36d39bac73df3bfac8335c723db3f2be22737f7e",
+    ("thm1", 9): "6af1d75ec47d7f77343db4d9ea1d40cf70309fe994f52ae786af4784059226e8",
+    ("thm1", 10): "46353a87c3438b3178dca27eba6411257a6f662c54396da96b30263690853392",
+    ("thm1", 11): "ee33816d2743b8421e4d360c602a21b00e768ef5be0b28ce316c524e7e732df7",
+    ("thm2", 7): "1ea28c47f470c9dfd84792dcb0f9d60cb97ef48e3684298613530898c6b3f06d",
+    ("thm2", 9): "bfb5403f0f573318920a675f0c1eb0b4375b1046fbf078482582903651c36e0c",
+}
+
+
+@pytest.mark.parametrize("method,n", sorted(DOCUMENT_SHA256))
+def test_documents_with_codewords_are_pinned(method, n):
+    if method == "thm1":
+        code = snake_from_rmgc(n)
+    else:
+        code = snake_from_ksnake(n, embedded_a5_snake())
+    text = format_document(CodeDocument(code, method), include_codewords=True)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == DOCUMENT_SHA256[method, n]
+
+
+def test_construct_and_verify_walk_each_codeword_once(monkeypatch):
+    # Rows walked: the whole code once, plus at most one walk per distinct
+    # block transition tuple for the block ends, never one walk per block.
+    a5 = embedded_a5_snake()
+    start10 = rmgc_snake_start(10)
+    cases = [
+        (lambda: snake_from_rmgc(10), {rmgc_block(start10, v).transitions for v in (1, 2)}),
+        (lambda: snake_from_ksnake(9, a5), {a5.transitions[:-1]}),
+    ]
+    walked = []
+    walk = perm._walk
+
+    def counted(start, transitions):
+        walked.append(tuple(transitions))
+        return walk(start, transitions)
+
+    monkeypatch.setattr(perm, "_walk", counted)
+    for build, block_tuples in cases:
+        walked.clear()
+        code = build()
+        assert verify_code(code).valid
+        assert walked.count(code.transitions) == 1
+        rows = sum(len(t) + 1 for t in walked)
+        assert rows <= code.size + 1 + sum(len(t) + 1 for t in block_tuples)
 
 
 def test_ksnake_snake_n7_verifies_exhaustively():

@@ -41,6 +41,14 @@ blocks.rotate_after = rmgc.rotate_after
 constructions.build_rmgc = lambda p: rmgc.RmgcSequence(3, (2, 2, 2, 2, 2, 3))
 raises("thm1 closure", constructions.snake_from_rmgc, 6)
 raises("thm2 closure", constructions.snake_from_ksnake, 7, embedded_a5_snake())
+constructions.build_rmgc = rmgc.build_rmgc
+
+# A start that passes the block's shape check but parks 4 at position q+1.
+constructions.rmgc_snake_start = lambda n: (1, 6, 2, 8, 4, 3, 5, 7)
+try:
+    constructions.snake_from_rmgc(8)
+except AssertionError as exc:
+    print(exc)
 """
 
 
@@ -58,4 +66,5 @@ def test_invariant_checks_raise_under_python_O():
         "block end shape",
         "thm1 closure",
         "thm2 closure",
+        "position 5 holds 4",
     ]

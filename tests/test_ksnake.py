@@ -55,6 +55,13 @@ def test_build_rejects_broken_sequences():
         build_ksnake(4, identity(4), (4, 4, 4, 4))
 
 
+def test_parity_failure_names_the_first_codeword_off_the_coset():
+    # The sequence closes and keeps Kendall distance >= 2; t_4, the fifth
+    # transition, is its first even one, so codeword 5 is the first odd word.
+    with pytest.raises(VerificationError, match=r"^codeword 5 breaks the uniform parity$"):
+        build_ksnake(5, identity(5), (3, 3, 5, 5, 4, 4, 5))
+
+
 def test_transport_identity_is_noop():
     snake = embedded_a5_snake()
     assert transport(snake, identity(5)) == snake

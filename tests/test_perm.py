@@ -18,7 +18,6 @@ from permsnake.perm import (
     parse_perm,
     parse_transitions,
     format_perm,
-    format_transitions,
 )
 
 from golden_rows import FIG1_ROWS, FIG1_TRANSITIONS, FIG2_ROWS, FIG2_TRANSITIONS
@@ -189,8 +188,6 @@ def test_text_round_trips():
     assert format_perm((1, 4, 2, 6, 3, 5)) == "1 4 2 6 3 5"
     assert parse_transitions("t3 t3 t2") == (3, 3, 2)
     assert parse_transitions("3  3\n2") == (3, 3, 2)
-    assert format_transitions((3, 3, 2)) == "3 3 2"
-    assert format_transitions((3, 3, 2), prefix="t") == "t3 t3 t2"
     with pytest.raises(ValueError):
         parse_perm("1 2 2")
     with pytest.raises(ValueError):

@@ -79,30 +79,6 @@ def test_render_mentions_violations():
     assert "violation" in text
 
 
-def test_sampled_mode_agrees_on_valid_code():
-    # "sampled" is an alias: it runs the exact certificate too.
-    code = snake_from_rmgc(8)
-    exhaustive = verify_code(code, "exhaustive")
-    assert exhaustive.valid and exhaustive.mode == "exhaustive"
-    assert verify_code(code, "sampled") == exhaustive
-    assert verify_code(code) == exhaustive
-    assert exhaustive.pairs_checked == code.size * (code.size - 1) // 2
-
-
-def test_unknown_mode_raises():
-    code = snake_from_rmgc(6)
-    assert verify_code(code).mode == "exhaustive"
-    with pytest.raises(ValueError):
-        verify_code(code, "both")
-
-
-def test_unknown_mode_raises_before_codewords_are_built():
-    code = snake_from_rmgc(6)
-    with pytest.raises(ValueError, match="unknown verification mode"):
-        verify_code(code, "both")
-    assert "_codewords" not in vars(code)
-
-
 def test_oracle_linf_cyclic():
     best3, wit3 = exhaustive_max_snake(3, "linf", cyclic=True)
     assert best3 == 3

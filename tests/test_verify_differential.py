@@ -144,7 +144,7 @@ def with_examples(test):
 @given(codes())
 def test_verify_code_matches_brute_force(code):
     words, closes, min_d, violations = brute_force(code)
-    report = verify_code(code, "exhaustive")
+    report = verify_code(code)
     assert report.size == len(words)
     assert report.cyclic_ok == closes
     assert report.distinct == (not violations or violations[0][1] != 0)
