@@ -33,6 +33,7 @@ from .documents import (
 )
 from .errors import ParseError, VerificationError
 from .ksnake import (
+    check_parity,
     embedded_a5_snake,
     format_ksnake,
     load_ksnake,
@@ -42,7 +43,7 @@ from .ksnake import (
 )
 from .perm import METRIC_KENDALL, METRIC_LINF, GrayCode, format_perm
 from .rmgc import build_rmgc, complete_and_cyclic
-from .verify import exhaustive_max_snake, verify_code
+from .verify import SnakeReport, exhaustive_max_snake, verify_code
 
 ABSENT = "—"  # table placeholder for sizes without a construction
 SIZES_MAX_N = 100  # sizes tabulates n in 4..100; the constructions stop at n=13
@@ -122,8 +123,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_verdict(code: GrayCode) -> int:
-    report = verify_code(code)
+def _print_verdict(report: SnakeReport) -> int:
     print(report.render())
     print(report.summary_line())
     return 0 if report.valid else 1
@@ -145,9 +145,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         text = fh.read()
     kind = detect_kind(text)
     if kind == KIND_SNAKE:
-        return _print_verdict(parse_document(text).code)
+        return _print_verdict(verify_code(parse_document(text).code))
     if kind == KIND_KSNAKE:
-        return _print_verdict(parse_ksnake_fields(text))
+        # A valid report must also pass import-ksnake's coset rule.
+        snake = parse_ksnake_fields(text)
+        report = verify_code(snake)
+        if report.valid:
+            check_parity(snake)
+        return _print_verdict(report)
     if kind == KIND_RMGC:
         return _verify_rmgc_text(text)
     raise ParseError(f"unrecognised document kind {kind!r}")

@@ -28,14 +28,14 @@ FIGURE_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5")
 
 
 def _boundary_rows(code: GrayCode, block_size: int) -> str:
-    cw = code.codewords()
-    rounds = code.size // block_size
-    lines = [f"0: {format_perm(cw[0])}"]
-    for l in range(rounds):
-        end = l * block_size + block_size - 1
-        nxt = (l + 1) * block_size
-        lines.append(f"{end}: {format_perm(cw[end])}")
-        lines.append(f"{nxt}: {format_perm(cw[nxt % code.size])}")
+    cw = code._codewords
+
+    def row(i: int) -> str:
+        return f"{i}: {format_perm(cw[i % code.size].tolist())}"
+
+    lines = [row(0)]
+    for l in range(1, code.size // block_size + 1):
+        lines += [row(l * block_size - 1), row(l * block_size)]
     return "\n".join(lines) + "\n"
 
 

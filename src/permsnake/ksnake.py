@@ -39,7 +39,10 @@ EMBEDDED_CORE = (3, 3, 5, 3, 3, 5, 3, 5, 5, 3, 3, 5, 3, 3, 5, 3, 5, 5, 5)
 # The largest n `search ksnake` accepts.  Ranks would certify codes up to
 # n = 20, but n > 16 exits 2 with a one-line error, and exit codes are fixed.
 MAX_SEARCH_N = 16
-_TABLE_COSET = 512  # cosets up to this size are numbered and bounded exactly
+# The search numbers cosets up to 8!/2 (n <= 8): t_3, t_5 and t_7 reach at
+# most 7!/2 = 2,520 of their vertices.  At n = 9 the table would hold 181,440.
+_NUMBERED_COSET = math.factorial(8) // 2
+_BOUNDED_COSET = 512  # cosets up to this size (n <= 6) are also bounded exactly
 
 
 def build_ksnake(n: int, start: Sequence[int], transitions: Sequence[int]) -> GrayCode:
@@ -70,11 +73,16 @@ def verify_snake(snake: GrayCode) -> SnakeReport:
         (i, j), d = report.violations[0]
         what = "coincide" if not report.distinct else f"are at Kendall distance {d} < 2"
         raise VerificationError(f"codewords {i} and {j} {what}")
+    check_parity(snake)
+    return report
+
+
+def check_parity(snake: GrayCode) -> None:
+    """Raise VerificationError naming the first codeword outside the start's coset."""
     # t_i is an i-cycle on positions, so only an even i flips the parity.
     for idx, i in enumerate(snake.transitions[: snake.size - 1], start=1):
         if i % 2 == 0:
             raise VerificationError(f"codeword {idx} breaks the uniform parity")
-    return report
 
 
 def embedded_a5_snake() -> GrayCode:
@@ -123,11 +131,13 @@ def search_ksnake(
     the space is exhausted.  ``stats``, if given, receives the node count
     and whether the space was exhausted.
 
-    Cosets of at most _TABLE_COSET permutations (n <= 6) are numbered
-    once by ``perm.reachable_table``; each node is then pruned unless the
-    unvisited vertices it can still reach, counted by a bitmask BFS, can
-    extend the path to the target.  Larger cosets keep tuple vertices and
-    are never pruned.
+    Cosets of at most _NUMBERED_COSET = 8!/2 permutations (n <= 8) are
+    numbered once by ``perm.reachable_table`` and searched over integer
+    ids; larger cosets (n >= 9) keep tuple vertices.  The vertex kind
+    changes neither node order nor node count.  Cosets of at most
+    _BOUNDED_COSET = 512 permutations (n <= 6) are also bounded: a node
+    is pruned unless the unvisited vertices it can still reach, counted
+    by a bitmask BFS, can extend the path to the target.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
@@ -151,9 +161,10 @@ def search_ksnake(
     # Frames are popped from the end, so moves are stored in reverse order.
     back = moves[::-1]
     nbrs: list[int] | None = None
-    if coset_size <= _TABLE_COSET:
+    if coset_size <= _NUMBERED_COSET:
         ids, succ = reachable_table(start, back)
-        nbrs = [sum({1 << w for _, w in out}) for out in succ]
+        if coset_size <= _BOUNDED_COSET:
+            nbrs = [sum({1 << w for _, w in out}) for out in succ]
         closers = {ids[p]: i for p, i in closers.items()}
         root: Perm | int = 0
 

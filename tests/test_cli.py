@@ -229,6 +229,28 @@ def test_verify_ksnake_and_rmgc_files(tmp_path, capsys):
     assert "complete=true" in stdout
 
 
+def test_verify_applies_the_ksnake_coset_rule(tmp_path, capsys):
+    # Both pass verify_code; only an even transition leaves the coset.
+    docs = {
+        "ksnake n=5 size=7\n1 2 3 4 5\n3 3 5 5 4 4 5\n": 5,
+        "ksnake n=4 size=4\n1 2 3 4\n4 4 4 4\n": 1,
+    }
+    path = tmp_path / "odd.ksnake"
+    for text, idx in docs.items():
+        path.write_text(text, encoding="utf-8")
+        for command in ("verify", "import-ksnake"):
+            rc, stdout, stderr = run(capsys, command, str(path))
+            assert (rc, stdout) == (1, ""), command
+            assert stderr == f"invalid: codeword {idx} breaks the uniform parity\n"
+
+    # A report that already fails keeps its listing, parity unchecked.
+    path.write_text("ksnake n=4 size=2\n1 2 3 4\n2 2\n", encoding="utf-8")
+    rc, stdout, stderr = run(capsys, "verify", str(path))
+    assert rc == 1 and stderr == ""
+    assert "verdict:      INVALID" in stdout
+    assert "valid=false size=2 min_d=1 metric=kendall" in stdout
+
+
 def test_sizes_rows(capsys):
     rc, stdout, _ = run(capsys, "sizes", "7", "7", "--csv")
     assert rc == 0 and stdout.strip() == "7,120,216,342,630"

@@ -4,11 +4,16 @@
 before it numbered S_n: it tests each child against the whole path with
 its own distance functions.  ``exhaustive_max_snake`` must return the
 same best size and the same witness under every budget, so node order
-and node counts are unchanged too.  The Kendall-snake search is pinned
-by node counts, which any change to move order or pruning would move.
+and node counts are unchanged too.  ``tuple_ksnake_search`` is the
+Kendall-snake search as it was written before it numbered cosets up to
+8!/2: tuple vertices, and a tuple BFS for the bound on small cosets.
+``search_ksnake`` must match its node count, exhaustion and snake.  The
+Kendall-snake search is also pinned by node counts, which any change to
+move order or pruning would move.
 """
 import functools
 import itertools
+import math
 
 import pytest
 
@@ -89,11 +94,87 @@ def test_max_snake_matches_the_path_scan(n, metric, cyclic, budget):
         assert witness.cyclic == cyclic and witness.metric_tag == metric
 
 
+def unpush(p, i):
+    return p[1:i] + (p[0],) + p[i:]
+
+
+def tuple_ksnake_search(n, target, budget):
+    """(nodes, exhausted, transitions or None) by a DFS over tuple vertices."""
+    moves = tuple(range(3, n + 1, 2))
+    start = tuple(range(1, n + 1))
+    if target > math.factorial(n) // 2:
+        return 0, True, None
+    bounded = math.factorial(n) // 2 <= 512
+    closers = {unpush(start, i): i for i in moves}
+
+    def can_reach(head, visited, need):
+        # Whether at least `need` unvisited vertices are reachable from head.
+        seen, frontier = set(), [head]
+        while frontier and len(seen) < need:
+            grown = []
+            for p in frontier:
+                for q in (push(p, i) for i in moves):
+                    if q not in visited and q not in seen:
+                        seen.add(q)
+                        grown.append(q)
+            frontier = grown
+        return len(seen) >= need
+
+    nodes = 0
+    path, trail, visited = [start], [], {start}
+    stack = [[(i, push(start, i)) for i in moves]]
+    while stack:
+        if not stack[-1]:
+            stack.pop()
+            if trail:
+                trail.pop()
+                visited.discard(path.pop())
+            continue
+        move, child = stack[-1].pop(0)
+        if child in visited:
+            continue
+        nodes += 1
+        if nodes > budget:
+            return nodes, False, None
+        path.append(child)
+        trail.append(move)
+        visited.add(child)
+        if len(path) >= target and child in closers:
+            return nodes, False, tuple(trail + [closers[child]])
+        if bounded and not can_reach(child, visited, target - len(path)):
+            path.pop()
+            trail.pop()
+            visited.discard(child)
+            continue
+        stack.append([(i, push(child, i)) for i in moves])
+    return nodes, True, None
+
+
+KSNAKE_CASES = [
+    *((5, t, b) for t in (30, 57, 58) for b in (1_000, 30_000)),
+    *((6, t, b) for t in (20, 57, 61) for b in (1_000, 30_000)),
+    *((n, t, b) for n in (7, 8) for t in (100, 1_000, 2_515) for b in (1_000, 100_000)),
+]
+
+
+@pytest.mark.parametrize(
+    "case", KSNAKE_CASES, ids=lambda case: "-".join(map(str, case))
+)
+def test_ksnake_search_matches_the_tuple_search(case):
+    n, target, budget = case
+    stats = {}
+    snake = search_ksnake(n, target, budget=budget, stats=stats)
+    got = (stats["nodes"], stats["exhausted"], None if snake is None else snake.transitions)
+    assert got == tuple_ksnake_search(n, target, budget)
+
+
 # (n, target, budget) -> (nodes, exhausted, snake size or None)
 KSNAKE_PINS = {
     (5, 57, 1_000_000): (134, False, 57),
     (5, 58, 30_000): (30_001, False, None),
     (7, 100, 1_000_000): (120, False, 105),
+    (7, 2_515, 500_000): (500_001, False, None),
+    (8, 100, 1_000_000): (120, False, 105),
     (4, 4, 1_000_000): (1, True, None),
     (9, 1_000, 20_000): (20_001, False, None),
 }
