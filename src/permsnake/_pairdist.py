@@ -4,6 +4,7 @@ A code has minimum distance >= 2 iff no codeword lies in the radius-1
 ball of another, so the certificate looks balls up instead of comparing
 all m(m-1)/2 pairs.  It takes the codewords as one (m, n) array.
 
+- Every row is a permutation of 1..n (``GrayCode`` checks its start).
 - Each codeword is keyed by the Lehmer rank of a permutation: Chebyshev
   keys p by p, Kendall by p⁻¹.  Ranks fit an int64 for every n <= 20.
   The ranks are sorted once (stably), and equal-rank runs are the
@@ -24,10 +25,10 @@ all m(m-1)/2 pairs.  It takes the codewords as one (m, n) array.
   ``searchsorted`` in the sorted ranks.
 
 With the balls clear the minimum is at least 2, and exactly 2 as soon as
-one consecutive pair is at distance 2.  Otherwise, and when the rows are
-not permutations of 1..n with n <= 20, a chunked scan of every pair
-computes the exact minimum.  Kendall distances in that scan are popcounts
-of XORed order bitmaps: bit (u, v), u < v, records whether u precedes v.
+one consecutive pair is at distance 2.  Otherwise, and for n > 20, a
+chunked scan of every pair computes the exact minimum.  Kendall
+distances in that scan are popcounts of XORed order bitmaps: bit (u, v),
+u < v, records whether u precedes v.
 """
 from __future__ import annotations
 
@@ -56,17 +57,16 @@ Dist = Callable[[np.ndarray, np.ndarray], np.ndarray]
 class Certificate(NamedTuple):
     """The exact pairwise verdict on one list of codewords.
 
-    min_distance is None when there are fewer than two codewords.
-    violations are the lexicographically first VIOLATION_CAP pairs (i, j),
-    i < j, at distance < 2.  Every pair is certified, so pairs_checked is
-    m(m-1)/2.  duplicate is the first repeat, as ``find_duplicate`` gives
-    it, or None.
+    min_distance is None when there are fewer than two codewords, and 0
+    iff some codeword repeats.  violations are the lexicographically first
+    VIOLATION_CAP pairs (i, j), i < j, at distance < 2, after the first
+    repeat, as ``find_duplicate`` gives it, if there is one.  Every pair
+    is certified, so pairs_checked is m(m-1)/2.
     """
 
     min_distance: int | None
     violations: list[Violation]
     pairs_checked: int
-    duplicate: tuple[int, int] | None
 
 
 def find_duplicate(codewords: Iterable[Perm]) -> tuple[int, int] | None:
@@ -98,14 +98,12 @@ def _certify(
     arr = np.asarray(codewords)
     m = len(arr)
     if m < 2:
-        return Certificate(None, [], 0, None)
+        return Certificate(None, [], 0)
     pairs = m * (m - 1) // 2
-    # Without ranks (n > 20, or rows that are not permutations of 1..n)
-    # only the scan below is exact.
-    if not _rankable(arr):
+    if arr.shape[1] > _MAX_RANK_N:
         best, violations = _pairwise_scan(features(arr), dist)
         duplicate = find_duplicate(map(tuple, arr.tolist()))
-        return Certificate(best, violations, pairs, duplicate)
+        return Certificate(best, _repeat_first(duplicate, violations), pairs)
 
     def ball(rows: np.ndarray, k: np.ndarray) -> Iterator[np.ndarray]:
         return _ball(_keys(rows, kendall)[1], k, matchings=not kendall)
@@ -121,25 +119,22 @@ def _certify(
         # is the second of its run, right after its first occurrence.
         t = int(repeats[np.argmin(order[repeats + 1])])
         duplicate = (int(order[t]), int(order[t + 1]))
-        return Certificate(0, _close_pairs(arr, ranks, order, sranks, ball), pairs, duplicate)
+        violations = _close_pairs(arr, ranks, order, sranks, ball)
+        return Certificate(0, _repeat_first(duplicate, violations), pairs)
     if _ball_hit(arr, order, sranks, ball):
-        return Certificate(1, _close_pairs(arr, ranks, order, sranks, ball), pairs, None)
+        return Certificate(1, _close_pairs(arr, ranks, order, sranks, ball), pairs)
     x = features(arr)
     if _consecutive_at_two(x, dist):
-        return Certificate(2, [], pairs, None)
+        return Certificate(2, [], pairs)
     best, violations = _pairwise_scan(x, dist)
-    return Certificate(best, violations, pairs, None)
+    return Certificate(best, violations, pairs)
 
 
-def _rankable(arr: np.ndarray) -> bool:
-    """True if every row is a permutation of 1..n, n <= 20."""
-    m, n = arr.shape
-    if not 1 <= n <= _MAX_RANK_N or arr.min() < 1 or arr.max() > n:
-        return False
-    seen = np.zeros(m, dtype=np.uint32)
-    for k in range(n):
-        seen |= np.uint32(1) << arr[:, k].astype(np.uint32)
-    return bool((seen == (1 << n + 1) - 2).all())
+def _repeat_first(repeat: tuple[int, int] | None, close: list[Violation]) -> list[Violation]:
+    """The close pairs led by the first repeat, which they then hold only once."""
+    if repeat is None:
+        return close
+    return [(repeat, 0), *(v for v in close if v != (repeat, 0))]
 
 
 def _keys(rows: np.ndarray, kendall: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -48,8 +48,8 @@ from .verify import SnakeReport, exhaustive_max_snake, verify_code
 ABSENT = "—"  # table placeholder for sizes without a construction
 SIZES_MAX_N = 100  # sizes tabulates n in 4..100; the constructions stop at n=13
 # construct rmgc checks completeness and closure up to this n.  The check
-# is what limits it: it walks all n! words, about 0.08 s at n=9, while at
-# n=10 it would add about 0.9 s to a 0.4-s command.
+# is what limits it: it walks and ranks all n! words, about 0.2 s at n=9,
+# while at n=10 it would add about 2.0 s to a 0.6-s command (see README).
 RMGC_CHECK_MAX_N = 9
 MODE_OPTION = dict(
     choices=["exhaustive", "sampled"],
@@ -298,16 +298,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except VerificationError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -134,10 +134,11 @@ def search_ksnake(
     Cosets of at most _NUMBERED_COSET = 8!/2 permutations (n <= 8) are
     numbered once by ``perm.reachable_table`` and searched over integer
     ids; larger cosets (n >= 9) keep tuple vertices.  The vertex kind
-    changes neither node order nor node count.  Cosets of at most
-    _BOUNDED_COSET = 512 permutations (n <= 6) are also bounded: a node
-    is pruned unless the unvisited vertices it can still reach, counted
-    by a bitmask BFS, can extend the path to the target.
+    changes neither node order nor node count.  The path is one dict from
+    each vertex to the move that reached it, in path order.  Cosets of at
+    most _BOUNDED_COSET = 512 permutations (n <= 6) are also bounded: a
+    child joins the path only if the unvisited vertices it can still
+    reach, counted by a bitmask BFS, can extend the path to the target.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
@@ -179,49 +180,39 @@ def search_ksnake(
 
     nodes = 0
     exhausted = True
-    path = [root]
-    trail: list[int] = []
-    visited = {root}
-    mask = 1  # visited as a bitmask over coset ids; the root is id 0
+    path: dict[Perm | int, int] = {root: 0}  # vertex -> the move to it (none for the root)
+    mask = 1  # the path as a bitmask over coset ids, kept where the bound runs
     found: list[int] | None = None
 
     # Iterative DFS; each stack frame holds the still-unexplored moves of
-    # the vertex at the matching depth of `path`.
+    # the path vertex at the same depth.
     stack = [children(root)]
     while stack:
         frame = stack[-1]
         if not frame:
             stack.pop()
-            if trail:
-                trail.pop()
-                v = path.pop()
-                visited.discard(v)
-                if nbrs is not None:
-                    mask ^= 1 << v
+            v, _ = path.popitem()
+            if nbrs is not None:
+                mask ^= 1 << v
             continue
         move, child = frame.pop()
-        if child in visited:
+        if child in path:
             continue
         nodes += 1
         if nodes > budget:
             exhausted = False
             break
-        path.append(child)
-        trail.append(move)
-        visited.add(child)
-        if len(path) >= target and child in closers:
-            found = trail + [closers[child]]
+        size = len(path) + 1
+        if size >= target and child in closers:
+            found = [*path.values(), move, closers[child]][1:]
             break
         if nbrs is not None:
-            mask |= 1 << child
             # Prune when the unvisited vertices reachable from here cannot
             # extend this prefix up to the target size.
-            if len(path) + _reachable_count(child, mask, nbrs) < target:
-                path.pop()
-                trail.pop()
-                visited.discard(child)
-                mask ^= 1 << child
+            if size + _reachable_count(child, mask | 1 << child, nbrs) < target:
                 continue
+            mask |= 1 << child
+        path[child] = move
         stack.append(children(child))
 
     if stats is not None:

@@ -163,7 +163,9 @@ class GrayCode:
     the source of truth.  For a cyclic code the final transition maps the
     last codeword back to the start; a noncyclic code has size
     len(transitions) + 1.  Snake blocks are noncyclic Gray codes and
-    Kendall snakes are cyclic ones tagged with the Kendall metric.
+    Kendall snakes are cyclic ones tagged with the Kendall metric.  The
+    start must be a permutation of 1..n and the metric linf or kendall,
+    or construction raises ValueError, so every codeword is a permutation.
 
     ``_chain`` walks the transitions once into one uint16 array of
     every word they visit; ``_codewords`` is its first ``size`` rows and
@@ -184,6 +186,12 @@ class GrayCode:
     transitions: tuple[int, ...]
     cyclic: bool
     metric_tag: str
+
+    def __post_init__(self) -> None:
+        if len(self.start) != self.n or not is_perm(self.start):
+            raise ValueError(f"start {list(self.start)} is not a permutation of 1..{self.n}")
+        if self.metric_tag not in (METRIC_LINF, METRIC_KENDALL):
+            raise ValueError(f"unknown metric {self.metric_tag!r}")
 
     @property
     def size(self) -> int:

@@ -108,10 +108,6 @@ def verify_code(code: GrayCode) -> SnakeReport:
         else _pairdist.min_pairwise_kendall
     )
     cert = kernel(codewords)
-    violations: list[_pairdist.Violation] = []
-    if cert.duplicate is not None:
-        violations.append((cert.duplicate, 0))
-    violations.extend(v for v in cert.violations if v not in violations)
 
     cyclic_ok: bool | None = None
     if code.cyclic:
@@ -120,14 +116,14 @@ def verify_code(code: GrayCode) -> SnakeReport:
 
     return SnakeReport(
         size=m,
-        distinct=cert.duplicate is None,
+        distinct=cert.min_distance != 0,
         cyclic_ok=cyclic_ok,
         min_distance=cert.min_distance,
         metric_tag=code.metric_tag,
         bound=_metric_bound(code.n, code.metric_tag),
         mode=MODE_EXHAUSTIVE,
         pairs_checked=cert.pairs_checked,
-        violations=violations,
+        violations=cert.violations,
     )
 
 

@@ -232,6 +232,21 @@ def test_gray_code_size_and_codewords():
     assert open_code.codewords() == [(1, 2, 3), (3, 1, 2), (2, 3, 1)]
 
 
+@pytest.mark.parametrize(
+    "n, start, metric, match",
+    [
+        (4, (1, 1, 5, 9), "linf", "not a permutation of 1..4"),
+        (3, (1, 2, 3, 4), "linf", "not a permutation of 1..3"),
+        (5, (1, 2, 3), "kendall", "not a permutation of 1..5"),
+        (3, (1, 2, 3), "foo", "unknown metric 'foo'"),
+    ],
+)
+def test_gray_code_rejects_a_start_or_metric_it_cannot_certify(n, start, metric, match):
+    # Each codeword must be a permutation of 1..n for the rank certificate.
+    with pytest.raises(ValueError, match=match):
+        GrayCode(n, start, (n,) * 4, True, metric)
+
+
 def test_rmgc_snake_min_distance_pairs():
     # Direct spot check that nearby codewords keep their distance.
     code = snake_from_rmgc(6)

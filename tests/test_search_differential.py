@@ -151,9 +151,12 @@ def tuple_ksnake_search(n, target, budget):
 
 
 KSNAKE_CASES = [
+    *((n, t, b) for n in (3, 4) for t in (2, 3, 4) for b in (1, 1_000)),
     *((5, t, b) for t in (30, 57, 58) for b in (1_000, 30_000)),
     *((6, t, b) for t in (20, 57, 61) for b in (1_000, 30_000)),
     *((n, t, b) for n in (7, 8) for t in (100, 1_000, 2_515) for b in (1_000, 100_000)),
+    # n = 9 searches tuple vertices, so budgets stay small.
+    *((9, t, b) for t in (100, 1_000) for b in (1_000, 20_000)),
 ]
 
 
