@@ -18,11 +18,16 @@ all m(m-1)/2 pairs.  It takes the codewords as one (m, n) array.
 - Kendall: a swap of adjacent positions in p is a swap of adjacent
   values in p⁻¹, so the n - 1 neighbours are single steps of p⁻¹.
 - Every neighbour rank is looked up, each pair once from its smaller
-  rank; a hit is a distance-1 pair.  Up to n = 12 the lookup is one
-  gather from an n!-bit bitmap of the codeword ranks (60 MB at n = 12,
-  allocated with ``np.zeros``, so only touched pages are resident); for
-  13 <= n <= 20 that bitmap would take 778 MB or more, so the lookup is a
-  ``searchsorted`` in the sorted ranks.
+  rank; a hit is a distance-1 pair.  A neighbour's steps change distinct
+  Lehmer digits by ±1 each, so the leading digit moves by at most one:
+  the larger rank of a pair lies in the slab (the (n-1)! ranks of one
+  leading digit) of the smaller or the next.  Up to n = 13 the lookup is
+  one gather from a window, a bitmap of the codeword ranks in two slabs,
+  2·(n-1)! bits (10 MB at n = 12, 120 MB at n = 13), reused as the
+  sorted codewords are taken slab by slab.  Up to n = 11 the window spans
+  every slab, an n!-bit bitmap of at most 5 MB.  For 14 <= n <= 20 a
+  window would take 1.6 GB or more, so the lookup is a ``searchsorted``
+  in the sorted ranks.
 
 With the balls clear the minimum is at least 2, and exactly 2 as soon as
 one consecutive pair is at distance 2.  Otherwise, and for n > 20, a
@@ -44,7 +49,8 @@ Violation = tuple[tuple[int, int], int]
 VIOLATION_CAP = 50
 
 _MAX_RANK_N = 20  # 20! < 2**63: every rank fits an int64
-_BITMAP_N = 12  # the largest n whose n!-bit rank bitmap is allocated
+_BITMAP_N = 13  # the largest n whose lookup is a rank window
+_WHOLE_N = 11  # the largest n whose window spans all n! ranks (5 MB at n = 11)
 _BIT = np.array([1 << b for b in range(8)], dtype=np.uint8)  # bit b of a bitmap byte
 _FACT = np.array([math.factorial(k) for k in range(_MAX_RANK_N + 1)], dtype=np.int64)
 _CHUNK = 1 << 13  # codewords per batch of ball lookups
@@ -185,35 +191,42 @@ def _matchings(step: np.ndarray, k: np.ndarray, lowest: int) -> Iterator[np.ndar
         yield from _matchings(step, grown, v + 2)
 
 
-def _member(sranks: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Nonzero where a query rank is a codeword rank.
-
-    Up to n = 12 that is one gather from an n!-bit bitmap, else a binary
-    search in the sorted ranks.
-    """
-    if n <= _BITMAP_N:
-        bits = np.zeros(-(-math.factorial(n) // 8), dtype=np.uint8)
-        byte = sranks >> 3
-        runs = np.flatnonzero(np.concatenate(([True], byte[1:] != byte[:-1])))
-        bits[byte[runs]] = np.bitwise_or.reduceat(_BIT[sranks & 7], runs)
-        return lambda q: bits[q >> 3] & _BIT[q & 7]
-    last = len(sranks) - 1
-    return lambda q: sranks[np.minimum(np.searchsorted(sranks, q), last)] == q
-
-
 def _ball_hit(arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, ball: Ball) -> bool:
     """True if some codeword lies in the radius-1 ball of another.
 
     Codewords are taken in rank order, so the probes of one batch land
-    near one another in the bitmap or the sorted ranks.
+    near one another in the window or the sorted ranks.  Up to n = 13 the
+    window holds ``span`` slabs from slab s on, and the codewords of slab
+    s probe it; the last window serves all of its slabs, so up to n = 11
+    one window serves every codeword.
     """
-    member = _member(sranks, arr.shape[1])
-    for c0 in range(0, len(order), _CHUNK):
-        k = sranks[c0 : c0 + _CHUNK]
-        for q in ball(arr[order[c0 : c0 + _CHUNK]], k):
-            # Balls are symmetric: look each pair up once, from its smaller rank.
-            if member(q[q > k]).any():
-                return True
+
+    def hit(c0: int, c1: int, lo: int, member: Callable[[np.ndarray], np.ndarray]) -> bool:
+        # Sorted codewords [c0, c1) probe with their ranks less lo.
+        for b0 in range(c0, c1, _CHUNK):
+            b1 = min(b0 + _CHUNK, c1)
+            k = sranks[b0:b1] - lo
+            for q in ball(arr[order[b0:b1]], k):
+                # Balls are symmetric: look each pair up once, from its smaller rank.
+                if member(q[q > k]).any():
+                    return True
+        return False
+
+    n = arr.shape[1]
+    if n > _BITMAP_N:
+        last = len(sranks) - 1
+        return hit(0, len(sranks), 0, lambda q: sranks[np.minimum(np.searchsorted(sranks, q), last)] == q)
+    slab = math.factorial(n - 1)
+    span = n if n <= _WHOLE_N else 2  # slabs in the window
+    bits = np.zeros(-(-span * slab // 8), dtype=np.uint8)
+    edges = np.searchsorted(sranks, slab * np.arange(n + 1))  # first codeword of each slab
+    for s in range(n - span + 1):
+        held = sranks[edges[s] : edges[s + span]] - s * slab
+        np.bitwise_or.at(bits, held >> 3, _BIT[held & 7])
+        probing = edges[s + 1] if s < n - span else len(sranks)
+        if hit(edges[s], probing, s * slab, lambda q: bits[q >> 3] & _BIT[q & 7]):
+            return True
+        bits[held >> 3] = 0
     return False
 
 

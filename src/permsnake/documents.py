@@ -16,13 +16,17 @@ transitions on one line, and never a listing.  RMGC exports use the
 one header reader, and both snake kinds one start-and-transitions parser.
 
 Transition lines and the codeword listing are written by one vectorised
-token writer, ``_token_chunks``, from integer arrays; a listing is read back
-into one array and compared with the recomputed codewords in one pass.
+token writer, ``_token_chunks``, from integer arrays, and read back by one
+vectorised token reader, ``_read_ints``; a listing is read into one array
+and compared with the recomputed codewords in one pass.  Text the reader
+does not take (any byte but an ASCII digit, a space or a newline, or a
+token of more than 18 digits) is parsed token by token instead, so that
+the first malformed token or line is the one named.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -39,6 +43,8 @@ from .rmgc import RmgcSequence
 
 _WRAP = 30  # transition tokens per line
 _CHUNK_TOKENS = 1 << 16  # about this many tokens are written at a time
+_CHUNK_LINES = 1 << 10  # lines read at a time
+_MAX_DIGITS = 18  # the longest token the reader takes: 10**18 < 2**63
 _DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
 _SPACE, _NEWLINE = ord(" "), ord("\n")
 
@@ -94,6 +100,63 @@ def _token_chunks(values: np.ndarray, per_line: int) -> list[str]:
         grid[-1, width] = _NEWLINE  # chunks hold whole lines but the last
         chunks.append(grid[keep].tobytes().decode("ascii"))
     return chunks
+
+
+def _read_ints(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The integers of lines as one unsigned array, and how many each line holds.
+
+    None unless every token is 1 to 18 ASCII digits and every separator a
+    space.  About 1 K lines at a time are joined into one uint8 buffer; a
+    token starts where a digit follows a separator, and its value is built
+    one digit column at a time, so no temporary is larger than a chunk.
+    Each chunk's values are kept in the narrowest type that holds them:
+    uint8 for transitions and codewords up to n = 255.
+
+    >>> values, counts = _read_ints(["3 10", "007  2 123", ""])
+    >>> values.tolist(), counts.tolist()
+    ([3, 10, 7, 2, 123], [2, 3, 0])
+    >>> _read_ints(["t3 3"]) is None
+    True
+    """
+    values, counts = [], []
+    for c0 in range(0, len(lines), _CHUNK_LINES):
+        try:
+            text = ("\n".join(lines[c0 : c0 + _CHUNK_LINES]) + "\n").encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        b = np.frombuffer(text, dtype=np.uint8)
+        digit = (b >= _DIGITS[0]) & (b <= _DIGITS[-1])
+        if not (digit | (b == _SPACE) | (b == _NEWLINE)).all():
+            return None
+        # Each token's first digit, and the byte just past its last.
+        edge = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+        starts = np.concatenate((np.flatnonzero(digit[:1]), edge[digit[edge]]))
+        ends = edge[~digit[edge]]
+        width = ends - starts
+        if width.max(initial=0) > _MAX_DIGITS:
+            return None
+        v = np.zeros(len(starts), dtype=np.int64)
+        for col in range(width.max(initial=0)):
+            more = width > col
+            v[more] = v[more] * 10 + (b[starts[more] + col] - _DIGITS[0])
+        values.append(v.astype(np.min_scalar_type(v.max(initial=0))))
+        counts.append(np.diff(np.searchsorted(starts, np.flatnonzero(b == _NEWLINE)), prepend=0))
+    if not values:
+        return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64)
+    return np.concatenate(values), np.concatenate(counts)
+
+
+def _transitions(lines: list[str]) -> tuple[int, ...]:
+    """The transition tokens of lines.
+
+    A malformed token raises the ParseError ``parse_transitions`` gives.
+    """
+    read = _read_ints(lines)
+    if read is None:
+        return _parsed(parse_transitions, " ".join(lines))
+    values = read[0]
+    # Iterating bytes gives ints with no list of them in between.
+    return tuple(values.tobytes() if values.dtype == np.uint8 else values.tolist())
 
 
 def _as_array(seq: Sequence[int]) -> np.ndarray:
@@ -158,7 +221,7 @@ def _parse_code(
     start = _parsed(parse_perm, lines[0])
     if len(start) != n:
         raise ParseError(f"start has {len(start)} values but header says n={n}")
-    transitions = _parsed(parse_transitions, " ".join(lines[1:]))
+    transitions = _transitions(lines[1:])
     expected_len = size if cyclic else size - 1
     if len(transitions) != expected_len:
         raise ParseError(
@@ -200,18 +263,15 @@ def parse_document(text: str) -> CodeDocument:
 
 
 def _listed(listing: list[str], n: int) -> np.ndarray:
-    """The codewords a listing names, as one (m, n) int64 array.
+    """The codewords a listing names, as one (m, n) integer array.
 
     A malformed line raises the ParseError ``parse_perm`` gives, for the
     first such line.  A well-formed line of another length than n matches
     no codeword, so it reads as a row of zeros, which matches none either.
     """
-    try:
-        flat = np.fromiter(_values(listing, n), dtype=np.int64, count=n * len(listing))
-    except (ValueError, OverflowError):
-        pass
-    else:
-        listed = flat.reshape(len(listing), n)
+    read = _read_ints(listing)
+    if read is not None and (read[1] == n).all():
+        listed = read[0].reshape(len(listing), n)
         if (np.sort(listed, axis=1) == np.arange(1, n + 1)).all():
             return listed
     # Some line is malformed or of another length: parse line by line, so
@@ -221,15 +281,6 @@ def _listed(listing: list[str], n: int) -> np.ndarray:
     return np.array(
         [p if len(p) == n else zeros for p in perms], dtype=np.int64
     ).reshape(len(perms), n)
-
-
-def _values(listing: list[str], n: int) -> Iterator[int]:
-    """The ints of the listing's lines, in order; a line of other than n tokens raises ValueError."""
-    for line in listing:
-        row = line.split()
-        if len(row) != n:
-            raise ValueError(f"a listing line holds {len(row)} values, not {n}")
-        yield from map(int, row)
 
 
 def format_ksnake(snake: GrayCode) -> str:
@@ -255,7 +306,7 @@ def format_rmgc_document(r: RmgcSequence) -> str:
 
 def parse_rmgc_document(text: str) -> RmgcSequence:
     lines, _, (n, length) = _read(text, KIND_RMGC, "n", "len")
-    seq = _parsed(parse_transitions, " ".join(lines[1:]))
+    seq = _transitions(lines[1:])
     if len(seq) != length:
         raise ParseError(f"header says len={length} but {len(seq)} transitions follow")
     return _parsed(RmgcSequence, n, seq)

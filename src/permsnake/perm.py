@@ -122,19 +122,22 @@ def apply_sequence(p: Perm, transitions: Sequence[int]) -> list[Perm]:
 
 
 def _walk(start: Perm, transitions: Sequence[int]) -> np.ndarray:
-    """Every word a push-to-the-top walk visits, start first, as one uint16 array.
+    """Every word a push-to-the-top walk visits, start first, as one integer array.
 
-    The word is a ``bytes`` object of 2 bytes per value, so one move is
-    three slices, and about 16 K words at a time are joined into rows of
-    the (len(transitions) + 1, n) result; no tuple per word is made.
+    The rows are uint8 when n <= 255 and uint16 above that.  The word is a
+    ``bytes`` object of one row's bytes, so one move is three slices, and
+    about 16 K words at a time are joined into rows of the
+    (len(transitions) + 1, n) result; no tuple per word is made.
     """
     n = len(start)
     if transitions and not (2 <= min(transitions) and max(transitions) <= n):
         bad = next(i for i in transitions if not 2 <= i <= n)
         raise InvalidTransitionError(f"transition index {bad} outside 2..{n}")
+    dtype = np.dtype(np.uint8 if n <= 255 else np.uint16)
+    w = dtype.itemsize
     # (moved value, prefix, suffix) byte slices of each move
-    cuts = [(slice(2 * i - 2, 2 * i), slice(2 * i - 2), slice(2 * i, None)) for i in range(n + 1)]
-    chain = np.empty((len(transitions) + 1, n), dtype=np.uint16)
+    cuts = [(slice(w * i - w, w * i), slice(w * i - w), slice(w * i, None)) for i in range(n + 1)]
+    chain = np.empty((len(transitions) + 1, n), dtype=dtype)
     chain[0] = start
     word = chain[0].tobytes()
     for c0 in range(0, len(transitions), _WALK_CHUNK):
@@ -144,7 +147,7 @@ def _walk(start: Perm, transitions: Sequence[int]) -> np.ndarray:
             moved, prefix, suffix = cuts[i]
             word = word[moved] + word[prefix] + word[suffix]
             push(word)
-        block = np.frombuffer(b"".join(words), dtype=np.uint16).reshape(len(words), n)
+        block = np.frombuffer(b"".join(words), dtype=dtype).reshape(len(words), n)
         chain[1 + c0 : 1 + c0 + len(words)] = block
     return chain
 
@@ -167,12 +170,12 @@ class GrayCode:
     start must be a permutation of 1..n and the metric linf or kendall,
     or construction raises ValueError, so every codeword is a permutation.
 
-    ``_chain`` walks the transitions once into one uint16 array of
-    every word they visit; ``_codewords`` is its first ``size`` rows and
-    ``codewords()`` a list-of-tuples view.  Moves act on positions, not
-    values, so ``end`` is the start relabelled by one position map, which
-    is walked once per distinct transition tuple: blocks of one shape from
-    many starts share that walk.
+    ``_chain`` walks the transitions once into one array of every word
+    they visit, uint8 up to n = 255; ``_codewords`` is its first ``size``
+    rows and ``codewords()`` a list-of-tuples view.  Moves act on
+    positions, not values, so ``end`` is the start relabelled by one
+    position map, which is walked once per distinct transition tuple:
+    blocks of one shape from many starts share that walk.
 
     >>> code = GrayCode(3, (1, 2, 3), (3, 3, 3), True, METRIC_LINF)
     >>> code.codewords(), code.end

@@ -1,6 +1,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from permsnake import perm
@@ -16,7 +17,7 @@ from permsnake.constructions import (
 )
 from permsnake.documents import CodeDocument, format_document
 from permsnake.ksnake import build_ksnake, embedded_a5_snake, search_ksnake
-from permsnake.perm import apply_transition, linf_distance
+from permsnake.perm import apply_sequence, apply_transition, identity, linf_distance
 from permsnake.verify import verify_code
 
 from golden_rows import FIG3_BOUNDARY, FIG5_BOUNDARY
@@ -91,7 +92,7 @@ def test_rmgc_snake_rejects_out_of_range():
     with pytest.raises(ValueError):
         snake_from_rmgc(5)
     with pytest.raises(ValueError):
-        snake_from_rmgc(13)
+        snake_from_rmgc(14)
 
 
 def test_rmgc_snake_n10_exact_plus_structure():
@@ -230,6 +231,13 @@ def test_gray_code_size_and_codewords():
     open_code = GrayCode(3, (1, 2, 3), (3, 3), False, "linf")
     assert open_code.size == 3
     assert open_code.codewords() == [(1, 2, 3), (3, 1, 2), (2, 3, 1)]
+
+
+@pytest.mark.parametrize("n, dtype", [(12, np.uint8), (255, np.uint8), (256, np.uint16), (300, np.uint16)])
+def test_codeword_rows_are_one_byte_up_to_n255(n, dtype):
+    code = GrayCode(n, identity(n), (n, 2, n - 1), False, "linf")
+    assert code._chain.dtype == dtype
+    assert code.codewords() == apply_sequence(identity(n), (n, 2, n - 1))
 
 
 @pytest.mark.parametrize(

@@ -3,14 +3,16 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permsnake.blocks import rmgc_block
 from permsnake.constructions import GrayCode, snake_from_rmgc
 from permsnake.documents import (
     CodeDocument,
+    _listed,
     _token_chunks,
+    _transitions,
     detect_kind,
     format_document,
     format_ksnake,
@@ -20,7 +22,7 @@ from permsnake.documents import (
     parse_rmgc_document,
 )
 from permsnake.errors import InvalidTransitionError, ParseError, VerificationError
-from permsnake.perm import format_perm
+from permsnake.perm import format_perm, parse_perm, parse_transitions
 from permsnake.rmgc import RmgcSequence, build_rmgc
 
 
@@ -296,3 +298,79 @@ def test_codeword_listing_reads_tokens_with_int(prefix, sep):
     code = snake_from_rmgc(6)
     line = sep.join(f"{prefix}{v}" for v in code.start)
     assert parse_document(_edited_listing((5, line))).code == code
+
+
+_SEPARATORS = [" ", "  ", "\n", " \n ", "\t", "\r\n", "\x0b"]
+
+
+@st.composite
+def tokens(draw):
+    """A token as a document might spell it: mostly digits, sometimes not."""
+    kind = draw(st.sampled_from(["plain", "plain", "zeros", "long", "t", "sign", "junk"]))
+    value = draw(st.integers(0, 300))
+    if kind == "zeros":
+        return "0" * draw(st.integers(1, 20)) + str(value)
+    if kind == "long":
+        return str(draw(st.integers(10**17, 10**25)))
+    if kind == "t":
+        return f"t{value}"
+    if kind == "sign":
+        return draw(st.sampled_from("+-")) + str(value)
+    if kind == "junk":
+        return draw(st.sampled_from(["x", "t", "3x", "٣", "1 2", "2.0", "+"]))
+    return str(value)
+
+
+def nonblank_lines(text):
+    """The lines a document reader keeps."""
+    return [ln for ln in text.splitlines() if ln.strip()]
+
+
+def outcome(parse, *args):
+    """parse(*args), or the message of the ValueError it raises (a ParseError is one)."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(tokens(), st.sampled_from(_SEPARATORS)), max_size=40))
+def test_token_reader_matches_parse_transitions(spelled):
+    lines = nonblank_lines("".join(tok + sep for tok, sep in spelled))
+    assert outcome(_transitions, lines) == outcome(parse_transitions, " ".join(lines))
+
+
+def reference_listed(listing, n):
+    """Rows of the listing as parse_perm reads them; another length reads as zeros."""
+    perms = [parse_perm(line) for line in listing]
+    return [list(p) if len(p) == n else [0] * n for p in perms]
+
+
+@st.composite
+def listings(draw):
+    """A listing of permutations of 1..n, some lines broken in one way each."""
+    n = draw(st.integers(1, 9))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["ok", "ok", "ok", "more", "fewer", "repeat", "bad token"]))
+        size = n + {"more": 1, "fewer": -1}.get(kind, 0)
+        row = [str(v) for v in draw(st.permutations(range(1, size + 1)))]
+        if kind == "repeat" and size > 1:
+            row[-1] = row[0]
+        if kind == "bad token" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(tokens())
+        if draw(st.booleans()) and row:
+            row[0] = "0" + row[0]
+        rows.append(draw(st.sampled_from([" ", "  ", "\t"])).join(row))
+    return nonblank_lines("\n".join(rows)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(listings())
+# Counted as a whole, the tokens of these lines would fill two permutation rows.
+@example((["1 2", "3 1 2 3"], 3))
+def test_listing_reader_matches_parse_perm(listing_n):
+    listing, n = listing_n
+    ours = outcome(lambda: _listed(listing, n).tolist())
+    assert ours == outcome(reference_listed, listing, n)
