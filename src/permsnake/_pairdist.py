@@ -9,6 +9,9 @@ all m(m-1)/2 pairs.  It takes the codewords as one (m, n) array.
   keys p by p, Kendall by p⁻¹.  Ranks fit an int64 for every n <= 20.
   The ranks are sorted once (stably), and equal-rank runs are the
   distance-0 pairs; the first repeated codeword is read off them too.
+  The certificate keeps only the sort order (int32) and the sorted ranks,
+  12 bytes per codeword; the ranks in index order are rebuilt from them,
+  with one scatter, only when a repeat or a close pair is listed.
 - Swapping the values v and v+1 of a key changes exactly one Lehmer
   digit, the one at the smaller of their two positions a, by +1 when v
   comes first and -1 otherwise: a rank step of ±(n-1-a)!.
@@ -114,26 +117,36 @@ def _certify(
     def ball(rows: np.ndarray, k: np.ndarray) -> Iterator[np.ndarray]:
         return _ball(_keys(rows, kendall)[1], k, matchings=not kendall)
 
-    ranks = np.concatenate(
-        [_ranks(_keys(arr[c0 : c0 + _CHUNK], kendall)[0]) for c0 in range(0, m, _CHUNK)]
-    )
-    order = np.argsort(ranks, kind="stable")
-    sranks = ranks[order]
+    order, sranks = _sorted_ranks(arr, kendall)
     repeats = np.flatnonzero(sranks[1:] == sranks[:-1])
     if len(repeats):
         # Equal-rank runs keep index order, so the smallest repeating index
         # is the second of its run, right after its first occurrence.
         t = int(repeats[np.argmin(order[repeats + 1])])
         duplicate = (int(order[t]), int(order[t + 1]))
-        violations = _close_pairs(arr, ranks, order, sranks, ball)
+        violations = _close_pairs(arr, order, sranks, ball)
         return Certificate(0, _repeat_first(duplicate, violations), pairs)
     if _ball_hit(arr, order, sranks, ball):
-        return Certificate(1, _close_pairs(arr, ranks, order, sranks, ball), pairs)
+        return Certificate(1, _close_pairs(arr, order, sranks, ball), pairs)
     x = features(arr)
     if _consecutive_at_two(x, dist):
         return Certificate(2, [], pairs)
     best, violations = _pairwise_scan(x, dist)
     return Certificate(best, violations, pairs)
+
+
+def _sorted_ranks(arr: np.ndarray, kendall: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort order of the codewords' ranks, and the sorted ranks.
+
+    The ranks in index order die here: only ``_close_pairs`` reads them,
+    and it rebuilds them from these two.  order is int32 whenever m fits.
+    """
+    m = len(arr)
+    ranks = np.concatenate(
+        [_ranks(_keys(arr[c0 : c0 + _CHUNK], kendall)[0]) for c0 in range(0, m, _CHUNK)]
+    )
+    order = np.argsort(ranks, kind="stable").astype(np.int32 if m < 2**31 else np.int64)
+    return order, ranks[order]
 
 
 def _repeat_first(repeat: tuple[int, int] | None, close: list[Violation]) -> list[Violation]:
@@ -231,7 +244,7 @@ def _ball_hit(arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, ball: Ball
 
 
 def _close_pairs(
-    arr: np.ndarray, ranks: np.ndarray, order: np.ndarray, sranks: np.ndarray, ball: Ball
+    arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, ball: Ball
 ) -> list[Violation]:
     """The lexicographically first VIOLATION_CAP pairs at distance 0 or 1.
 
@@ -240,6 +253,8 @@ def _close_pairs(
     index order, so the partners j > i are a tail of each run.  Listing
     stops at the first codeword after the cap is reached.
     """
+    ranks = np.empty_like(sranks)
+    ranks[order] = sranks
     found: list[Violation] = []
     for c0 in range(0, len(ranks), _PAIR_CHUNK):
         k = ranks[c0 : c0 + _PAIR_CHUNK]

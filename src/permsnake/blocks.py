@@ -74,7 +74,7 @@ def rmgc_block(sigma: Sequence[int], variant: int) -> GrayCode:
     if rotation[-1] != (k if variant == 1 else k - 1):
         raise AssertionError(f"rotation ends on t_{rotation[-1]}, not the variant's anchor")
 
-    transitions = (k,) * (k - 1) + (k + 1,) + rotation[: math.factorial(k) - 1]
+    transitions = (k,) * (k - 1) + (k + 1,) + tuple(rotation[: math.factorial(k) - 1])
     block = GrayCode(n, sigma, transitions, cyclic=False, metric_tag=METRIC_LINF)
 
     front = sigma[1 : k + 1]  # (a2, ..., ak, a1)

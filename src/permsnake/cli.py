@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 from dataclasses import astuple
+from typing import Iterable
 
 from . import figures as figmod
 from .blocks import ksnake_block, rmgc_block
@@ -26,16 +27,16 @@ from .documents import (
     KIND_RMGC,
     KIND_SNAKE,
     detect_kind,
-    format_document,
-    format_rmgc_document,
+    document_chunks,
+    ksnake_chunks,
     parse_document,
     parse_rmgc_document,
+    rmgc_chunks,
 )
 from .errors import ParseError, VerificationError
 from .ksnake import (
     check_parity,
     embedded_a5_snake,
-    format_ksnake,
     load_ksnake,
     parse_ksnake_fields,
     search_ksnake,
@@ -58,12 +59,17 @@ MODE_OPTION = dict(
 )
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(chunks: Iterable[str], out: str | None) -> None:
+    """Write a document's chunks to out, or to stdout, one at a time.
+
+    The whole document never exists as one string: the 10.5 MB of a
+    10-RMGC export pass through one chunk of 64 K tokens at a time.
+    """
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _info(msg: str, to_stderr: bool) -> None:
@@ -94,7 +100,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             _info("refusing to emit: sequence is not complete and cyclic", True)
             return 1
         _info(f"size={len(r.seq)} complete cyclic {n}-RMGC", info_to_stderr)
-        _write_out(format_rmgc_document(r), args.out)
+        _write_out(rmgc_chunks(r), args.out)
         return 0
 
     if args.method == "thm1":
@@ -117,9 +123,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if n >= 4:
         _info(f"sizes row (n,m0,m1,m2,bound): {','.join(_sizes_cells(n))}", info_to_stderr)
     _info(report.summary_line(), info_to_stderr)
-    _write_out(
-        format_document(CodeDocument(code, args.method), args.codewords), args.out
-    )
+    _write_out(document_chunks(CodeDocument(code, args.method), args.codewords), args.out)
     return 0
 
 
@@ -200,10 +204,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             report = verify_code(witness)
             print(report.summary_line())
             if args.out:
-                _write_out(
-                    format_document(CodeDocument(witness, "search-max"), False),
-                    args.out,
-                )
+                _write_out(document_chunks(CodeDocument(witness, "search-max")), args.out)
         return 0
     # what == "ksnake"
     stats: dict = {}
@@ -216,7 +217,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         return 0
     print(f"found size={snake.size} nodes={stats['nodes']}")
     if args.out:
-        _write_out(format_ksnake(snake), args.out)
+        _write_out(ksnake_chunks(snake), args.out)
     return 0
 
 
@@ -227,7 +228,7 @@ def _cmd_import_ksnake(args: argparse.Namespace) -> int:
     print(verify_snake(snake).summary_line())
     print(f"start={format_perm(snake.start)} last_transition=t{snake.transitions[-1]}")
     if args.out:
-        _write_out(format_ksnake(snake), args.out)
+        _write_out(ksnake_chunks(snake), args.out)
     return 0
 
 

@@ -83,19 +83,22 @@ def _chain_blocks(
     """Chain one block and one boundary push t_{idx+shift} per tail transition t_idx.
 
     ``block(cur, boundary)`` builds the block from the round's start; the
-    rounds must return the word to start.
+    rounds must return the word to start.  Each round is kept as bytes, one
+    per push (n <= 19, since the tail's RMGC has at most MAX_N symbols), and
+    the code's transition tuple is built once from their join, so no list
+    of every push sits beside it.
     """
-    transitions: list[int] = []
+    rounds: list[bytes] = []
     cur = start
     for idx in tail_code.seq:
         boundary = idx + shift
         code = block(cur, boundary)
-        transitions.extend(code.transitions)
-        transitions.append(boundary)
+        rounds.append(bytes(code.transitions + (boundary,)))
         cur = apply_transition(code.end, boundary)
     if cur != start:
         raise AssertionError("boundary Gray code failed to close")
-    return GrayCode(len(start), start, tuple(transitions), cyclic=True, metric_tag=METRIC_LINF)
+    transitions = tuple(b"".join(rounds))
+    return GrayCode(len(start), start, transitions, cyclic=True, metric_tag=METRIC_LINF)
 
 
 def snake_from_rmgc(n: int) -> GrayCode:

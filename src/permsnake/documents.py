@@ -15,18 +15,22 @@ transitions on one line, and never a listing.  RMGC exports use the
 ``rmgc n=<n> len=<n!>`` header and carry no start line.  All three share
 one header reader, and both snake kinds one start-and-transitions parser.
 
-Transition lines and the codeword listing are written by one vectorised
-token writer, ``_token_chunks``, from integer arrays, and read back by one
-vectorised token reader, ``_read_ints``; a listing is read into one array
-and compared with the recomputed codewords in one pass.  Text the reader
-does not take (any byte but an ASCII digit, a space or a newline, or a
-token of more than 18 digits) is parsed token by token instead, so that
-the first malformed token or line is the one named.
+Each kind is written by a generator of chunks of whole lines
+(``document_chunks``, ``ksnake_chunks``, ``rmgc_chunks``), so a caller can
+write a document without holding it as one string; ``format_*`` join the
+chunks.  Transition lines and the codeword listing are written by one
+vectorised token writer, ``_token_chunks``, from integer arrays, and read
+back by one vectorised token reader, ``_read_ints``; a listing is read
+into one array and compared with the recomputed codewords in one pass.
+RMGC transitions stay one byte each from the reader to ``RmgcSequence``.
+Text the reader does not take (any byte but an ASCII digit, a space or a
+newline, or a token of more than 18 digits) is parsed token by token
+instead, so that the first malformed token or line is the one named.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,12 +73,12 @@ def detect_kind(text: str) -> str:
     raise ParseError("empty document")
 
 
-def _token_chunks(values: np.ndarray, per_line: int) -> list[str]:
+def _token_chunks(values: np.ndarray, per_line: int) -> Iterator[str]:
     """The non-negative integers of values as text, per_line tokens to a line.
 
     Tokens are separated by single spaces, and every line ends in a newline,
-    the last one too.  The text comes in chunks of whole lines, for the
-    caller to join once with what surrounds it.  A chunk's digits fill a
+    the last one too.  The text comes in chunks of whole lines, made one
+    at a time as the caller takes them.  A chunk's digits fill a
     (tokens, width + 1) uint8 grid right-aligned, its last column holds the
     separators, and one mask drops the leading zeros, so no temporary is
     larger than a chunk.
@@ -84,7 +88,6 @@ def _token_chunks(values: np.ndarray, per_line: int) -> list[str]:
     """
     flat = values.reshape(-1)
     step = max(1, _CHUNK_TOKENS // per_line) * per_line
-    chunks = []
     for c0 in range(0, len(flat), step):
         v = flat[c0 : c0 + step]
         width = len(str(v.max()))
@@ -98,8 +101,7 @@ def _token_chunks(values: np.ndarray, per_line: int) -> list[str]:
         grid[:, width] = _SPACE
         grid[per_line - 1 :: per_line, width] = _NEWLINE
         grid[-1, width] = _NEWLINE  # chunks hold whole lines but the last
-        chunks.append(grid[keep].tobytes().decode("ascii"))
-    return chunks
+        yield grid[keep].tobytes().decode("ascii")
 
 
 def _read_ints(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
@@ -146,8 +148,9 @@ def _read_ints(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     return np.concatenate(values), np.concatenate(counts)
 
 
-def _transitions(lines: list[str]) -> tuple[int, ...]:
-    """The transition tokens of lines.
+def _packed_transitions(lines: list[str]) -> bytes | tuple[int, ...]:
+    """The transition tokens of lines: one byte each when the reader takes them
+    all and each is below 256, else a tuple.
 
     A malformed token raises the ParseError ``parse_transitions`` gives.
     """
@@ -155,8 +158,13 @@ def _transitions(lines: list[str]) -> tuple[int, ...]:
     if read is None:
         return _parsed(parse_transitions, " ".join(lines))
     values = read[0]
+    return values.tobytes() if values.dtype == np.uint8 else tuple(values.tolist())
+
+
+def _transitions(lines: list[str]) -> tuple[int, ...]:
+    """The transition tokens of lines as a tuple."""
     # Iterating bytes gives ints with no list of them in between.
-    return tuple(values.tobytes() if values.dtype == np.uint8 else values.tolist())
+    return tuple(_packed_transitions(lines))
 
 
 def _as_array(seq: Sequence[int]) -> np.ndarray:
@@ -167,17 +175,22 @@ def _as_array(seq: Sequence[int]) -> np.ndarray:
         return np.array(seq, dtype=np.uint64)
 
 
-def format_document(doc: CodeDocument, include_codewords: bool = False) -> str:
+def document_chunks(doc: CodeDocument, include_codewords: bool = False) -> Iterator[str]:
+    """The text of a snake document, in chunks of whole lines."""
     code = doc.code
-    parts = [
+    yield (
         f"snake n={code.n} size={code.size} metric={code.metric_tag} "
-        f"cyclic={str(code.cyclic).lower()} method={doc.method}\n",
-        f"{format_perm(code.start)}\n",
-        *_token_chunks(_as_array(code.transitions), _WRAP),
-    ]
+        f"cyclic={str(code.cyclic).lower()} method={doc.method}\n"
+    )
+    yield f"{format_perm(code.start)}\n"
+    yield from _token_chunks(_as_array(code.transitions), _WRAP)
     if include_codewords:
-        parts += ["codewords:\n", *_token_chunks(code._codewords, code.n)]
-    return "".join(parts)
+        yield "codewords:\n"
+        yield from _token_chunks(code._codewords, code.n)
+
+
+def format_document(doc: CodeDocument, include_codewords: bool = False) -> str:
+    return "".join(document_chunks(doc, include_codewords))
 
 
 def _read(
@@ -283,13 +296,16 @@ def _listed(listing: list[str], n: int) -> np.ndarray:
     ).reshape(len(perms), n)
 
 
+def ksnake_chunks(snake: GrayCode) -> Iterator[str]:
+    """Text form in chunks: header, start permutation, one line of transitions."""
+    yield f"ksnake n={snake.n} size={snake.size}\n"
+    yield f"{format_perm(snake.start)}\n"
+    yield from _token_chunks(_as_array(snake.transitions), max(1, len(snake.transitions)))
+
+
 def format_ksnake(snake: GrayCode) -> str:
     """Text form: header, start permutation, one line of transitions."""
-    return "".join([
-        f"ksnake n={snake.n} size={snake.size}\n",
-        f"{format_perm(snake.start)}\n",
-        *_token_chunks(_as_array(snake.transitions), max(1, len(snake.transitions))),
-    ])
+    return "".join(ksnake_chunks(snake))
 
 
 def parse_ksnake_fields(text: str) -> GrayCode:
@@ -300,13 +316,19 @@ def parse_ksnake_fields(text: str) -> GrayCode:
     return _parse_code(lines[1:], n, size, True, METRIC_KENDALL)
 
 
+def rmgc_chunks(r: RmgcSequence) -> Iterator[str]:
+    """The text of an RMGC export, in chunks of whole lines."""
+    yield f"rmgc n={r.n} len={len(r.seq)}\n"
+    yield from _token_chunks(_as_array(r.seq), _WRAP)
+
+
 def format_rmgc_document(r: RmgcSequence) -> str:
-    return "".join([f"rmgc n={r.n} len={len(r.seq)}\n", *_token_chunks(_as_array(r.seq), _WRAP)])
+    return "".join(rmgc_chunks(r))
 
 
 def parse_rmgc_document(text: str) -> RmgcSequence:
     lines, _, (n, length) = _read(text, KIND_RMGC, "n", "len")
-    seq = _transitions(lines[1:])
+    seq = _packed_transitions(lines[1:])
     if len(seq) != length:
         raise ParseError(f"header says len={length} but {len(seq)} transitions follow")
     return _parsed(RmgcSequence, n, seq)

@@ -10,7 +10,8 @@ frame, and the n rotations in between visit n fresh permutations each.
 
 The base case is the hand-rolled 3-sequence (t3 t3 t2 t3 t3 t2).  Each
 level is lifted with one numpy broadcast: an (n-1)! x n grid of t_n whose
-last column holds t_{n-j+1}, read back as the tuple ``RmgcSequence.seq``.
+last column holds t_{n-j+1}, read back as the bytes ``RmgcSequence.seq``,
+one byte per push.
 
 Three positions of the built sequence are fixed and load-bearing for the
 block constructions downstream: position 1 holds t_n, position n holds
@@ -40,15 +41,28 @@ _RANK_CHUNK = 1 << 16  # words ranked at a time by complete_and_cyclic
 
 @dataclass(frozen=True)
 class RmgcSequence:
-    """A complete cyclic Gray-code transition sequence over S_n."""
+    """A complete cyclic Gray-code transition sequence over S_n.
+
+    ``seq`` holds one byte per push: n <= MAX_N, so every index fits.  A
+    sequence given as ints is stored as bytes too; only one with an index
+    outside 0..255, which no walk accepts, stays a tuple, so that
+    ``complete_and_cyclic`` names that index.
+    """
 
     n: int
-    seq: tuple[int, ...]
+    seq: bytes | tuple[int, ...]
 
     def __post_init__(self) -> None:
         # Bound n before n! is computed: a document header can name any n.
         if not 1 <= self.n <= MAX_N:
             raise ValueError(f"RMGC n={self.n} is outside the allowed range 1..{MAX_N}")
+        if not isinstance(self.seq, bytes):
+            seq = tuple(self.seq)
+            try:
+                seq = bytes(seq)
+            except ValueError:  # an index outside 0..255
+                pass
+            object.__setattr__(self, "seq", seq)
         if len(self.seq) != math.factorial(self.n):
             raise ValueError(
                 f"RMGC for n={self.n} must have {math.factorial(self.n)} "
@@ -58,7 +72,7 @@ class RmgcSequence:
 
 def base_t3() -> RmgcSequence:
     """The 3-element base sequence (t3 t3 t2 t3 t3 t2)."""
-    return RmgcSequence(3, (3, 3, 2, 3, 3, 2))
+    return RmgcSequence(3, bytes((3, 3, 2, 3, 3, 2)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -74,11 +88,11 @@ def build_rmgc(n: int) -> RmgcSequence:
     if n == BASE_N:
         result = base_t3()
     else:
-        inner = np.frombuffer(bytes(build_rmgc(n - 1).seq), dtype=np.uint8)
+        inner = np.frombuffer(build_rmgc(n - 1).seq, dtype=np.uint8)
         # Row j: n-1 pushes of t_n, then t_{n-j+1} for the inner transition t_j.
         grid = np.full((len(inner), n), n, dtype=np.uint8)
         grid[:, -1] = n + 1 - inner
-        result = RmgcSequence(n, tuple(grid.tobytes()))
+        result = RmgcSequence(n, grid.tobytes())
     _assert_special_positions(result)
     return result
 
@@ -99,11 +113,12 @@ def special_positions(r: RmgcSequence) -> tuple[int, int, int]:
     return (r.n, r.n * r.n - r.n, 1)
 
 
-def rotate_after(r: RmgcSequence | Sequence[int], s: int) -> tuple[int, ...]:
+def rotate_after(r: RmgcSequence | Sequence[int], s: int) -> bytes | tuple[int, ...]:
     """Cyclic rotation placing the element at 1-based position s last.
 
     A rotation of a complete cyclic sequence is still complete and cyclic;
-    the last transition determines the shape of the end permutation.
+    the last transition determines the shape of the end permutation.  An
+    RmgcSequence rotates as its bytes; any other sequence as a tuple.
 
     >>> rotate_after((3, 3, 2, 3, 3, 2), 1)
     (3, 2, 3, 3, 2, 3)

@@ -2,15 +2,26 @@ import contextlib
 import io
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import time
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permsnake.cli import main
-from permsnake.documents import parse_document
+from permsnake.constructions import snake_from_rmgc
+from permsnake.documents import (
+    CodeDocument,
+    format_document,
+    format_rmgc_document,
+    parse_document,
+)
 from permsnake.ksnake import embedded_a5_snake, format_ksnake
+from permsnake.rmgc import build_rmgc
 
 from golden_rows import FIG1_ROWS, FIG2_ROWS, FIG4_START
 
@@ -70,6 +81,52 @@ def test_construct_rmgc_transition_multiset(tmp_path, capsys):
     assert tokens.count("4") == 18
     assert tokens.count("2") == 4
     assert tokens.count("3") == 2
+
+
+def test_written_documents_equal_the_formatters(tmp_path, capsys):
+    """A document written chunk by chunk is the text format_* joins."""
+    out = tmp_path / "rmgc8.txt"
+    assert run(capsys, "construct", "rmgc", "--n", "8", "--out", str(out))[0] == 0
+    assert out.read_text(encoding="utf-8") == format_rmgc_document(build_rmgc(8))
+    rc, stdout, _ = run(capsys, "construct", "rmgc", "--n", "8")
+    assert rc == 0 and stdout == format_rmgc_document(build_rmgc(8))
+
+    out = tmp_path / "thm1_9.txt"
+    rc, _, _ = run(capsys, "construct", "thm1", "--n", "9", "--codewords", "--out", str(out))
+    assert rc == 0
+    expected = format_document(CodeDocument(snake_from_rmgc(9), "thm1"), True)
+    assert out.read_text(encoding="utf-8") == expected
+
+    ks, out = tmp_path / "a5.ksnake", tmp_path / "a5_out.ksnake"
+    ks.write_text(format_ksnake(embedded_a5_snake()), encoding="utf-8")
+    assert run(capsys, "import-ksnake", str(ks), "--out", str(out))[0] == 0
+    assert out.read_text(encoding="utf-8") == format_ksnake(embedded_a5_snake())
+
+
+# Runs its arguments as one child and prints the child's peak RSS in KB.
+# A child forked from pytest itself would report at least pytest's RSS.
+LAUNCHER = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
+def test_construct_rmgc_10_stays_small(tmp_path):
+    """3,628,800 pushes of one byte each, written one chunk at a time."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    out = tmp_path / "rmgc10.txt"
+    cmd = [sys.executable, "-m", "permsnake.cli", "construct", "rmgc", "--n", "10"]
+    got = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, *cmd, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert int(got.stdout) / 1024 <= 60
+    with open(out, encoding="utf-8") as fh:
+        assert fh.readline() == "rmgc n=10 len=3628800\n"
 
 
 def test_construct_blocks_match_goldens(tmp_path, capsys):

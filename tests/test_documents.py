@@ -108,6 +108,16 @@ def test_rmgc_document_round_trip():
     assert parse_rmgc_document(text) == r
 
 
+def test_rmgc_document_reads_one_byte_per_push():
+    text = format_rmgc_document(build_rmgc(5))
+    assert parse_rmgc_document(text).seq == build_rmgc(5).seq
+    assert type(parse_rmgc_document(text).seq) is bytes
+    # Tokens the vectorised reader does not take are stored as bytes too.
+    assert parse_rmgc_document("rmgc n=3 len=6\nt3 3 t2 3 3 +2").seq == bytes((3, 3, 2, 3, 3, 2))
+    assert parse_rmgc_document("rmgc n=3 len=6\n3 3 -2 3 3 2").seq == (3, 3, -2, 3, 3, 2)
+    assert parse_rmgc_document("rmgc n=3 len=6\n3 3 300 3 3 2").seq == (3, 3, 300, 3, 3, 2)
+
+
 def test_rmgc_document_errors():
     with pytest.raises(ParseError):
         parse_rmgc_document("rmgc n=4 len=24\n4 4 4")

@@ -38,13 +38,13 @@ def is_complete_cyclic(n, seq, start=None):
 def test_base_sequence():
     r = base_t3()
     assert r.n == 3
-    assert r.seq == (3, 3, 2, 3, 3, 2)
+    assert r.seq == bytes((3, 3, 2, 3, 3, 2))
     assert [i + 1 for i, t in enumerate(r.seq) if t == 2] == [3, 6]
     assert is_complete_cyclic(3, r.seq)
 
 
 def test_build_rmgc_small_sequences():
-    assert build_rmgc(3).seq == (3, 3, 2, 3, 3, 2)
+    assert build_rmgc(3).seq == bytes((3, 3, 2, 3, 3, 2))
     r4 = build_rmgc(4)
     assert len(r4.seq) == 24
     # 1-based positions of the distinguished transitions
@@ -75,6 +75,18 @@ def test_special_positions_rejects_wrong_sequence():
         special_positions(bogus)
 
 
+def test_seq_is_one_byte_per_push():
+    assert RmgcSequence(3, (3, 3, 2, 3, 3, 2)).seq == bytes((3, 3, 2, 3, 3, 2))
+    assert RmgcSequence(3, [3, 3, 2, 3, 3, 1]).seq == bytes((3, 3, 2, 3, 3, 1))
+    assert type(rotate_after(build_rmgc(6), 7)) is bytes
+    # An index outside 0..255 fits no byte: it stays a tuple, for the walk to name.
+    for seq in ((3, 3, -2, 3, 3, 2), (3, 3, 256, 3, 3, 2)):
+        r = RmgcSequence(3, seq)
+        assert r.seq == seq
+        with pytest.raises(InvalidTransitionError, match=f"index {seq[2]} outside 2..3"):
+            complete_and_cyclic(r)
+
+
 def test_build_rmgc_bounds():
     with pytest.raises(ValueError):
         build_rmgc(2)
@@ -89,7 +101,7 @@ def test_build_rmgc_memoised():
 def test_rotate_after_basics():
     r = base_t3()
     assert rotate_after(r, 6) == r.seq
-    assert rotate_after(r, 1) == (3, 2, 3, 3, 2, 3)
+    assert rotate_after(r, 1) == bytes((3, 2, 3, 3, 2, 3))
     # The base sequence has period 3, so rotating at 3 reproduces it.
     assert rotate_after(r, 3) == r.seq
     assert rotate_after(r, 3)[-1] == 2
@@ -172,5 +184,5 @@ def test_build_rmgc_matches_the_list_lift(n):
     for j in build_rmgc(n - 1).seq:
         lifted.extend([n] * (n - 1))
         lifted.append(n - j + 1)
-    assert type(build_rmgc(n).seq) is tuple
-    assert build_rmgc(n).seq == tuple(lifted)
+    assert type(build_rmgc(n).seq) is bytes
+    assert build_rmgc(n).seq == bytes(lifted)
