@@ -27,10 +27,9 @@ all m(m-1)/2 pairs.  It takes the codewords as one (m, n) array.
   leading digit) of the smaller or the next.  Up to n = 13 the lookup is
   one gather from a window, a bitmap of the codeword ranks in two slabs,
   2·(n-1)! bits (10 MB at n = 12, 120 MB at n = 13), reused as the
-  sorted codewords are taken slab by slab.  Up to n = 11 the window spans
-  every slab, an n!-bit bitmap of at most 5 MB.  For 14 <= n <= 20 a
-  window would take 1.6 GB or more, so the lookup is a ``searchsorted``
-  in the sorted ranks.
+  sorted codewords are taken slab by slab.  For 14 <= n <= 20 a window
+  would take 1.6 GB or more, so the lookup is a ``searchsorted`` in the
+  sorted ranks.
 
 With the balls clear the minimum is at least 2, and exactly 2 as soon as
 one consecutive pair is at distance 2.  Otherwise, and for n > 20, a
@@ -53,7 +52,6 @@ VIOLATION_CAP = 50
 
 _MAX_RANK_N = 20  # 20! < 2**63: every rank fits an int64
 _BITMAP_N = 13  # the largest n whose lookup is a rank window
-_WHOLE_N = 11  # the largest n whose window spans all n! ranks (5 MB at n = 11)
 _BIT = np.array([1 << b for b in range(8)], dtype=np.uint8)  # bit b of a bitmap byte
 _FACT = np.array([math.factorial(k) for k in range(_MAX_RANK_N + 1)], dtype=np.int64)
 _CHUNK = 1 << 13  # codewords per batch of ball lookups
@@ -208,10 +206,9 @@ def _ball_hit(arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, ball: Ball
     """True if some codeword lies in the radius-1 ball of another.
 
     Codewords are taken in rank order, so the probes of one batch land
-    near one another in the window or the sorted ranks.  Up to n = 13 the
-    window holds ``span`` slabs from slab s on, and the codewords of slab
-    s probe it; the last window serves all of its slabs, so up to n = 11
-    one window serves every codeword.
+    near one another in the window or the sorted ranks.  Up to n = 13, for
+    each slab s one reused window holds slabs s and s+1 (none past n!),
+    and the codewords of slab s probe it.
     """
 
     def hit(c0: int, c1: int, lo: int, member: Callable[[np.ndarray], np.ndarray]) -> bool:
@@ -230,14 +227,12 @@ def _ball_hit(arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, ball: Ball
         last = len(sranks) - 1
         return hit(0, len(sranks), 0, lambda q: sranks[np.minimum(np.searchsorted(sranks, q), last)] == q)
     slab = math.factorial(n - 1)
-    span = n if n <= _WHOLE_N else 2  # slabs in the window
-    bits = np.zeros(-(-span * slab // 8), dtype=np.uint8)
-    edges = np.searchsorted(sranks, slab * np.arange(n + 1))  # first codeword of each slab
-    for s in range(n - span + 1):
-        held = sranks[edges[s] : edges[s + span]] - s * slab
+    bits = np.zeros(-(-2 * slab // 8), dtype=np.uint8)
+    edges = np.searchsorted(sranks, slab * np.arange(n + 2))  # first codeword of each slab
+    for s in range(n):
+        held = sranks[edges[s] : edges[s + 2]] - s * slab
         np.bitwise_or.at(bits, held >> 3, _BIT[held & 7])
-        probing = edges[s + 1] if s < n - span else len(sranks)
-        if hit(edges[s], probing, s * slab, lambda q: bits[q >> 3] & _BIT[q & 7]):
+        if hit(edges[s], edges[s + 1], s * slab, lambda q: bits[q >> 3] & _BIT[q & 7]):
             return True
         bits[held >> 3] = 0
     return False

@@ -67,9 +67,8 @@ class CodeDocument:
 
 def detect_kind(text: str) -> str:
     """First header token of a document: snake, ksnake or rmgc."""
-    for line in text.splitlines():
-        if line.strip():
-            return line.split()[0]
+    for token in text.split(None, 1):  # the first token, and the rest uncut
+        return token
     raise ParseError("empty document")
 
 
@@ -150,7 +149,8 @@ def _read_ints(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _packed_transitions(lines: list[str]) -> bytes | tuple[int, ...]:
     """The transition tokens of lines: one byte each when the reader takes them
-    all and each is below 256, else a tuple.
+    all and each is below 256, else a tuple, which ``RmgcSequence`` turns
+    into bytes or rejects.
 
     A malformed token raises the ParseError ``parse_transitions`` gives.
     """

@@ -121,6 +121,23 @@ def apply_sequence(p: Perm, transitions: Sequence[int]) -> list[Perm]:
     return out
 
 
+def check_transitions(transitions: Sequence[int], n: int) -> None:
+    """Raise InvalidTransitionError naming the first index outside 2..n.
+
+    ``bytes`` are bounded through a uint8 view: builtin ``min`` and ``max``
+    take an int per byte, 0.16 s against 0.4 ms for the 10! pushes of a
+    10-RMGC on a 2-core x86-64 VM.
+    """
+    if isinstance(transitions, bytes):
+        values = np.frombuffer(transitions, dtype=np.uint8)
+        ok = 2 <= values.min(initial=2) and values.max(initial=n) <= n
+    else:
+        ok = 2 <= min(transitions, default=2) and max(transitions, default=n) <= n
+    if not ok:
+        bad = next(i for i in transitions if not 2 <= i <= n)
+        raise InvalidTransitionError(f"transition index {bad} outside 2..{n}")
+
+
 def _walk(start: Perm, transitions: Sequence[int]) -> np.ndarray:
     """Every word a push-to-the-top walk visits, start first, as one integer array.
 
@@ -130,9 +147,7 @@ def _walk(start: Perm, transitions: Sequence[int]) -> np.ndarray:
     (len(transitions) + 1, n) result; no tuple per word is made.
     """
     n = len(start)
-    if transitions and not (2 <= min(transitions) and max(transitions) <= n):
-        bad = next(i for i in transitions if not 2 <= i <= n)
-        raise InvalidTransitionError(f"transition index {bad} outside 2..{n}")
+    check_transitions(transitions, n)
     dtype = np.dtype(np.uint8 if n <= 255 else np.uint16)
     w = dtype.itemsize
     # (moved value, prefix, suffix) byte slices of each move

@@ -19,8 +19,8 @@ t_2, and position n^2-n holds t_{n-1}.  ``build_rmgc`` checks them on
 every build, also under ``python -O``, rather than trusting the recursion.
 
 ``complete_and_cyclic`` certifies a sequence without a tuple per word: it
-walks the sequence once into one array of words and marks each word's
-Lehmer rank in an n!-entry array.
+walks the sequence 64 K pushes at a time, each segment from the last word
+of the one before, and marks each word's Lehmer rank in an n!-entry array.
 """
 from __future__ import annotations
 
@@ -32,42 +32,37 @@ from typing import Sequence
 import numpy as np
 
 from ._pairdist import _ranks
-from .perm import _walk, identity
+from .perm import _walk, check_transitions, identity
 
 BASE_N = 3
 MAX_N = 10  # 10! = 3,628,800 transitions; larger sequences are refused
-_RANK_CHUNK = 1 << 16  # words ranked at a time by complete_and_cyclic
+_SEGMENT = 1 << 16  # pushes walked and ranked at a time by complete_and_cyclic
 
 
 @dataclass(frozen=True)
 class RmgcSequence:
     """A complete cyclic Gray-code transition sequence over S_n.
 
-    ``seq`` holds one byte per push: n <= MAX_N, so every index fits.  A
-    sequence given as ints is stored as bytes too; only one with an index
-    outside 0..255, which no walk accepts, stays a tuple, so that
-    ``complete_and_cyclic`` names that index.
+    ``seq`` holds one byte per push, each in 2..n: a sequence of ints
+    is stored as bytes, and a push outside 2..n raises
+    InvalidTransitionError naming the first such push, after the checks
+    on n and on the length.
     """
 
     n: int
-    seq: bytes | tuple[int, ...]
+    seq: bytes
 
     def __post_init__(self) -> None:
         # Bound n before n! is computed: a document header can name any n.
         if not 1 <= self.n <= MAX_N:
             raise ValueError(f"RMGC n={self.n} is outside the allowed range 1..{MAX_N}")
-        if not isinstance(self.seq, bytes):
-            seq = tuple(self.seq)
-            try:
-                seq = bytes(seq)
-            except ValueError:  # an index outside 0..255
-                pass
-            object.__setattr__(self, "seq", seq)
         if len(self.seq) != math.factorial(self.n):
             raise ValueError(
                 f"RMGC for n={self.n} must have {math.factorial(self.n)} "
                 f"transitions, got {len(self.seq)}"
             )
+        check_transitions(self.seq, self.n)
+        object.__setattr__(self, "seq", bytes(self.seq))
 
 
 def base_t3() -> RmgcSequence:
@@ -132,20 +127,21 @@ def rotate_after(r: RmgcSequence | Sequence[int], s: int) -> bytes | tuple[int, 
 def complete_and_cyclic(r: RmgcSequence) -> tuple[bool, bool]:
     """Whether r, run from the identity, visits all n! words and returns to it.
 
-    One walk gives every word, the start first and the word after the last
-    transition last.  The first n! words are complete iff their Lehmer ranks
-    set every entry of an n!-entry array, and the walk is cyclic iff its
-    last word is its first.  A transition outside 2..n raises
-    InvalidTransitionError naming the first such index.
+    The walk goes 64 K pushes at a time, each segment starting from the
+    last word of the one before; every word but a segment's last sets the
+    entry of its Lehmer rank in an n!-entry array.  The n! words before
+    the last push are complete iff every entry is set, and the walk is
+    cyclic iff the word after the last push is the identity.
 
     >>> complete_and_cyclic(base_t3())
     (True, True)
     >>> complete_and_cyclic(RmgcSequence(3, (3, 3, 3, 3, 3, 3)))
     (False, True)
     """
-    chain = _walk(identity(r.n), r.seq)
-    words = chain[:-1]
-    seen = np.zeros(len(words), dtype=bool)
-    for c0 in range(0, len(words), _RANK_CHUNK):
-        seen[_ranks(words[c0 : c0 + _RANK_CHUNK].T.astype(np.int8) - 1)] = True
-    return bool(seen.all()), bool((chain[-1] == chain[0]).all())
+    start = word = identity(r.n)
+    seen = np.zeros(len(r.seq), dtype=bool)
+    for c0 in range(0, len(r.seq), _SEGMENT):
+        chain = _walk(word, r.seq[c0 : c0 + _SEGMENT])
+        seen[_ranks(chain[:-1].T.astype(np.int8) - 1)] = True
+        word = tuple(chain[-1].tolist())
+    return bool(seen.all()), word == start

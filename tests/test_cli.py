@@ -286,6 +286,25 @@ def test_verify_ksnake_and_rmgc_files(tmp_path, capsys):
     assert "complete=true" in stdout
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("n=3 len=6\n3 3 0 3 3 2", "transition index 0 outside 2..3"),
+        ("n=3 len=6\n3 1 2 3 3 2", "transition index 1 outside 2..3"),
+        ("n=3 len=6\n3 3 -2 3 3 2", "transition index -2 outside 2..3"),
+        ("n=3 len=6\n3 3 300 3 3 2", "transition index 300 outside 2..3"),
+        ("n=3 len=6\nt3 t3 t9 t3 t3 t2", "transition index 9 outside 2..3"),
+        ("n=1 len=1\n2", "transition index 2 outside 2..1"),
+        # The length is checked before the pushes.
+        ("n=3 len=5\n3 3 0 3 3", "RMGC for n=3 must have 6 transitions, got 5"),
+    ],
+)
+def test_verify_names_the_first_push_outside_the_range(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.rmgc"
+    path.write_text(f"rmgc {body}\n", encoding="utf-8")
+    assert run(capsys, "verify", str(path)) == (2, "", f"error: {message}\n")
+
+
 def test_verify_applies_the_ksnake_coset_rule(tmp_path, capsys):
     # Both pass verify_code; only an even transition leaves the coset.
     docs = {

@@ -114,8 +114,10 @@ def test_rmgc_document_reads_one_byte_per_push():
     assert type(parse_rmgc_document(text).seq) is bytes
     # Tokens the vectorised reader does not take are stored as bytes too.
     assert parse_rmgc_document("rmgc n=3 len=6\nt3 3 t2 3 3 +2").seq == bytes((3, 3, 2, 3, 3, 2))
-    assert parse_rmgc_document("rmgc n=3 len=6\n3 3 -2 3 3 2").seq == (3, 3, -2, 3, 3, 2)
-    assert parse_rmgc_document("rmgc n=3 len=6\n3 3 300 3 3 2").seq == (3, 3, 300, 3, 3, 2)
+    # A push outside 2..n is refused as the sequence is built, named as the walk named it.
+    for push in ("-2", "300", "1", "0", "t9"):
+        with pytest.raises(ParseError, match=f"^transition index {push.lstrip('t')} outside 2..3$"):
+            parse_rmgc_document(f"rmgc n=3 len=6\n3 3 {push} 3 3 2")
 
 
 def test_rmgc_document_errors():

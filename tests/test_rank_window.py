@@ -1,7 +1,7 @@
 """The rank window of the ball certificate at its slab edges.
 
-At n = 12 and 13 the certificate looks ranks up in a window of two slabs,
-a slab being the (n-1)! ranks of one leading Lehmer digit.  Each code
+Up to n = 13 the certificate looks ranks up in a window of two slabs, a
+slab being the (n-1)! ranks of one leading Lehmer digit.  Each code
 here holds exactly one pair at distance 1, planted across a slab edge,
 inside slab 0 or inside the last slab, under either metric.  The window
 must find it, must find nothing once the partner is dropped, and the
@@ -85,7 +85,7 @@ def window_hit(arr, kendall):
 
 @pytest.mark.parametrize("case", ["edge", "slab 0", "last slab"])
 @pytest.mark.parametrize("metric", [METRIC_LINF, METRIC_KENDALL])
-@pytest.mark.parametrize("n", [12, 13])
+@pytest.mark.parametrize("n", [9, 11, 12, 13])
 def test_window_finds_the_planted_pair(n, metric, case):
     code = planted(n, metric, case)
     arr = code._codewords

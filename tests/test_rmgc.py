@@ -77,14 +77,21 @@ def test_special_positions_rejects_wrong_sequence():
 
 def test_seq_is_one_byte_per_push():
     assert RmgcSequence(3, (3, 3, 2, 3, 3, 2)).seq == bytes((3, 3, 2, 3, 3, 2))
-    assert RmgcSequence(3, [3, 3, 2, 3, 3, 1]).seq == bytes((3, 3, 2, 3, 3, 1))
+    assert RmgcSequence(3, [3, 3, 2, 3, 3, 2]).seq == bytes((3, 3, 2, 3, 3, 2))
     assert type(rotate_after(build_rmgc(6), 7)) is bytes
-    # An index outside 0..255 fits no byte: it stays a tuple, for the walk to name.
-    for seq in ((3, 3, -2, 3, 3, 2), (3, 3, 256, 3, 3, 2)):
-        r = RmgcSequence(3, seq)
-        assert r.seq == seq
-        with pytest.raises(InvalidTransitionError, match=f"index {seq[2]} outside 2..3"):
-            complete_and_cyclic(r)
+    # A push outside 2..n is refused at construction, the first one named.
+    for bad in (-2, 256, 1, 0):
+        for seq in ((3, 3, bad, 3, 3, 2), bytes((3, 3, bad % 256, 3, 3, 2))):
+            named = f"^transition index {seq[2]} outside 2..3$"
+            with pytest.raises(InvalidTransitionError, match=named):
+                RmgcSequence(3, seq)
+    with pytest.raises(InvalidTransitionError, match="^transition index 4 outside 2..3$"):
+        RmgcSequence(3, [3, 4, 1, 3, 3, 2])
+    # The checks on n and on the length come first.
+    with pytest.raises(ValueError, match="outside the allowed range"):
+        RmgcSequence(11, [0])
+    with pytest.raises(ValueError, match="must have 6 transitions, got 5"):
+        RmgcSequence(3, [3, 3, 0, 3, 3])
 
 
 def test_build_rmgc_bounds():
@@ -166,15 +173,25 @@ def rmgc_candidates(draw):
 @example((1, (2,)))  # no index is in range at n=1
 def test_complete_and_cyclic_matches_the_tuple_reference(case):
     n, seq = case
-    r = RmgcSequence(n, seq)
     try:
         expected = reference_complete_cyclic(n, seq)
     except InvalidTransitionError as exc:
         with pytest.raises(InvalidTransitionError) as raised:
-            complete_and_cyclic(r)
+            RmgcSequence(n, seq)
         assert str(raised.value) == str(exc)
         return
-    assert complete_and_cyclic(r) == expected
+    assert complete_and_cyclic(RmgcSequence(n, seq)) == expected
+
+
+@pytest.mark.parametrize("segment", [1, 7, 119])
+def test_complete_and_cyclic_across_segments(monkeypatch, segment):
+    """Each segment of the walk starts from the last word of the one before."""
+    monkeypatch.setattr(rmgc, "_SEGMENT", segment)
+    built = list(build_rmgc(5).seq)
+    edited = built[:60] + [2 if built[60] != 2 else 3] + built[61:]
+    nonclosing = built[:-1] + [2 if built[-1] != 2 else 3]
+    for seq in (built, edited, nonclosing, [5] * 120, [2] * 120):
+        assert complete_and_cyclic(RmgcSequence(5, seq)) == reference_complete_cyclic(5, seq)
 
 
 @pytest.mark.parametrize("n", range(4, 11))
