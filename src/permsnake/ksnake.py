@@ -42,7 +42,6 @@ MAX_SEARCH_N = 16
 # The search numbers cosets up to 8!/2 (n <= 8): t_3, t_5 and t_7 reach at
 # most 7!/2 = 2,520 of their vertices.  At n = 9 the table would hold 181,440.
 _NUMBERED_COSET = math.factorial(8) // 2
-_BOUNDED_COSET = 512  # cosets up to this size (n <= 6) are also bounded exactly
 
 
 def build_ksnake(n: int, start: Sequence[int], transitions: Sequence[int]) -> GrayCode:
@@ -131,14 +130,17 @@ def search_ksnake(
     the space is exhausted.  ``stats``, if given, receives the node count
     and whether the space was exhausted.
 
+    With m = n - 1 + n % 2 (the largest odd m <= n), the moves t_3, t_5,
+    ..., t_m generate the alternating group on positions 1..m and never
+    move a position above m, so no path reaches more than m!/2 vertices.
+    A target above m!/2 is unreachable: it returns None after 0 nodes,
+    exhausted.
+
     Cosets of at most _NUMBERED_COSET = 8!/2 permutations (n <= 8) are
     numbered once by ``perm.reachable_table`` and searched over integer
     ids; larger cosets (n >= 9) keep tuple vertices.  The vertex kind
     changes neither node order nor node count.  The path is one dict from
-    each vertex to the move that reached it, in path order.  Cosets of at
-    most _BOUNDED_COSET = 512 permutations (n <= 6) are also bounded: a
-    child joins the path only if the unvisited vertices it can still
-    reach, counted by a bitmask BFS, can extend the path to the target.
+    each vertex to the move that reached it, in path order.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
@@ -150,8 +152,7 @@ def search_ksnake(
         raise ValueError(f"need a budget >= 0, got {budget}")
     moves = tuple(i for i in range(3, n + 1, 2))
     start = identity(n)
-    coset_size = math.factorial(n) // 2
-    if target > coset_size:
+    if target > math.factorial(n - 1 + n % 2) // 2:
         if stats is not None:
             stats["nodes"] = 0
             stats["exhausted"] = True
@@ -161,11 +162,8 @@ def search_ksnake(
     closers = {undo_transition(start, i): i for i in moves}
     # Frames are popped from the end, so moves are stored in reverse order.
     back = moves[::-1]
-    nbrs: list[int] | None = None
-    if coset_size <= _NUMBERED_COSET:
+    if math.factorial(n) // 2 <= _NUMBERED_COSET:
         ids, succ = reachable_table(start, back)
-        if coset_size <= _BOUNDED_COSET:
-            nbrs = [sum({1 << w for _, w in out}) for out in succ]
         closers = {ids[p]: i for p, i in closers.items()}
         root: Perm | int = 0
 
@@ -181,7 +179,6 @@ def search_ksnake(
     nodes = 0
     exhausted = True
     path: dict[Perm | int, int] = {root: 0}  # vertex -> the move to it (none for the root)
-    mask = 1  # the path as a bitmask over coset ids, kept where the bound runs
     found: list[int] | None = None
 
     # Iterative DFS; each stack frame holds the still-unexplored moves of
@@ -191,9 +188,7 @@ def search_ksnake(
         frame = stack[-1]
         if not frame:
             stack.pop()
-            v, _ = path.popitem()
-            if nbrs is not None:
-                mask ^= 1 << v
+            path.popitem()
             continue
         move, child = frame.pop()
         if child in path:
@@ -202,16 +197,9 @@ def search_ksnake(
         if nodes > budget:
             exhausted = False
             break
-        size = len(path) + 1
-        if size >= target and child in closers:
+        if len(path) + 1 >= target and child in closers:
             found = [*path.values(), move, closers[child]][1:]
             break
-        if nbrs is not None:
-            # Prune when the unvisited vertices reachable from here cannot
-            # extend this prefix up to the target size.
-            if size + _reachable_count(child, mask | 1 << child, nbrs) < target:
-                continue
-            mask |= 1 << child
         path[child] = move
         stack.append(children(child))
 
@@ -221,18 +209,3 @@ def search_ksnake(
     if found is None:
         return None
     return build_ksnake(n, start, found)
-
-
-def _reachable_count(head: int, visited: int, nbrs: list[int]) -> int:
-    """How many unvisited vertices are reachable from head: a bitmask BFS."""
-    reach = 0
-    frontier = nbrs[head] & ~visited
-    while frontier:
-        reach |= frontier
-        grown = 0
-        while frontier:
-            low = frontier & -frontier
-            grown |= nbrs[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grown & ~(visited | reach)
-    return reach.bit_count()

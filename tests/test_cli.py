@@ -390,6 +390,48 @@ def test_search_commands(capsys, tmp_path):
     assert rc == 0 and "not-found" in stdout and "exhausted=true" in stdout
 
 
+@pytest.mark.parametrize(
+    "options",
+    [("--n", "4"), ("--n", "4", "--metric", "kendall", "--noncyclic")],
+    ids=["linf-cyclic", "kendall-noncyclic"],
+)
+def test_search_max_writes_a_document_that_verifies(capsys, tmp_path, options):
+    out = tmp_path / "max.txt"
+    rc, stdout, _ = run(capsys, "search", "max", *options, "--out", str(out))
+    assert rc == 0 and stdout.startswith("max_size=")
+    size = stdout.split()[0].split("=")[1]
+    rc, stdout, _ = run(capsys, "verify", str(out))
+    assert rc == 0 and f"valid=true size={size} " in stdout
+
+
+def test_search_ksnake_rejects_a_target_the_moves_cannot_reach(capsys):
+    # At n = 8, t_3, t_5 and t_7 reach 7!/2 = 2,520 words.
+    rc, stdout, stderr = run(
+        capsys, "search", "ksnake", "--n", "8", "--target", "2521", "--budget", "100000"
+    )
+    assert (rc, stdout, stderr) == (0, "not-found target=2521 nodes=0 exhausted=true\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (("construct", "thm2", "--n", "3", "--embedded"), None,
+         "n=3 is too small for the Kendall-snake construction"),
+        (("construct", "thm2", "--n", "7", "--embedded", "--ksnake"), "ksnake n=5 size=57\n",
+         "pass either --embedded or --ksnake, not both"),
+        (("verify",), "snake n=3 size=2 metric=linf cyclic=true method=x\n",
+         "snake document needs a start line"),
+    ],
+    ids=["thm2-n3", "thm2-both-sources", "verify-header-only"],
+)
+def test_precondition_errors_exit_2_with_their_message(capsys, tmp_path, argv, text, message):
+    if text is not None:
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = (*argv, str(path))
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_search_rejects_bad_bounds_with_one_line(capsys):
     for argv in (
         ("search", "ksnake", "--n", "17", "--budget", "10"),

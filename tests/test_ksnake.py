@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from permsnake.ksnake import (
     search_ksnake,
     transport,
 )
-from permsnake.perm import identity, kendall_distance, parity
+from permsnake.perm import identity, kendall_distance, parity, reachable_table
 
 
 def min_kendall(codes):
@@ -162,6 +163,19 @@ def test_search_beyond_the_n5_maximum_is_budgeted():
     stats = {}
     assert search_ksnake(5, 58, budget=30_000, stats=stats) is None
     assert stats["nodes"] >= 30_000 or stats["exhausted"]
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_search_rejects_targets_above_what_the_moves_reach(n):
+    # With m the largest odd m <= n, t_3, t_5, ..., t_m generate the
+    # alternating group on positions 1..m: m!/2 reachable words.
+    reachable = math.factorial(n - 1 + n % 2) // 2
+    assert len(reachable_table(identity(n), range(3, n + 1, 2))[0]) == reachable
+    stats = {}
+    assert search_ksnake(n, reachable + 1, budget=1, stats=stats) is None
+    assert stats == {"nodes": 0, "exhausted": True}
+    assert search_ksnake(n, reachable, budget=1, stats=stats) is None
+    assert not stats["exhausted"]
 
 
 def test_search_argument_checks():

@@ -6,14 +6,14 @@ its own distance functions.  ``exhaustive_max_snake`` must return the
 same best size and the same witness under every budget, so node order
 and node counts are unchanged too.  ``tuple_ksnake_search`` is the
 Kendall-snake search as it was written before it numbered cosets up to
-8!/2: tuple vertices, and a tuple BFS for the bound on small cosets.
-``search_ksnake`` must match its node count, exhaustion and snake.  The
-Kendall-snake search is also pinned by node counts, which any change to
-move order or pruning would move.
+8!/2: tuple vertices, and a tuple BFS for the number of reachable
+vertices, above which a target is rejected.  ``search_ksnake`` must match
+its node count, exhaustion and snake.  The Kendall-snake search is also
+pinned by node counts, which any change to move order or pruning would
+move.
 """
 import functools
 import itertools
-import math
 
 import pytest
 
@@ -98,27 +98,24 @@ def unpush(p, i):
     return p[1:i] + (p[0],) + p[i:]
 
 
+@functools.lru_cache(maxsize=None)
+def reachable_size(n):
+    """How many permutations t_3, t_5, ... reach from the identity: a tuple BFS."""
+    moves = range(3, n + 1, 2)
+    seen, frontier = set(), {tuple(range(1, n + 1))}
+    while frontier:
+        seen |= frontier
+        frontier = {push(p, i) for p in frontier for i in moves} - seen
+    return len(seen)
+
+
 def tuple_ksnake_search(n, target, budget):
     """(nodes, exhausted, transitions or None) by a DFS over tuple vertices."""
     moves = tuple(range(3, n + 1, 2))
     start = tuple(range(1, n + 1))
-    if target > math.factorial(n) // 2:
+    if target > reachable_size(n):
         return 0, True, None
-    bounded = math.factorial(n) // 2 <= 512
     closers = {unpush(start, i): i for i in moves}
-
-    def can_reach(head, visited, need):
-        # Whether at least `need` unvisited vertices are reachable from head.
-        seen, frontier = set(), [head]
-        while frontier and len(seen) < need:
-            grown = []
-            for p in frontier:
-                for q in (push(p, i) for i in moves):
-                    if q not in visited and q not in seen:
-                        seen.add(q)
-                        grown.append(q)
-            frontier = grown
-        return len(seen) >= need
 
     nodes = 0
     path, trail, visited = [start], [], {start}
@@ -141,11 +138,6 @@ def tuple_ksnake_search(n, target, budget):
         visited.add(child)
         if len(path) >= target and child in closers:
             return nodes, False, tuple(trail + [closers[child]])
-        if bounded and not can_reach(child, visited, target - len(path)):
-            path.pop()
-            trail.pop()
-            visited.discard(child)
-            continue
         stack.append([(i, push(child, i)) for i in moves])
     return nodes, True, None
 
@@ -157,6 +149,9 @@ KSNAKE_CASES = [
     *((n, t, b) for n in (7, 8) for t in (100, 1_000, 2_515) for b in (1_000, 100_000)),
     # n = 9 searches tuple vertices, so budgets stay small.
     *((9, t, b) for t in (100, 1_000) for b in (1_000, 20_000)),
+    # Above m!/2 (m = 7 at n = 8, m = 9 at n = 10) no path reaches the target.
+    (8, 2_521, 100_000),
+    (10, 181_441, 100_000),
 ]
 
 
@@ -173,13 +168,15 @@ def test_ksnake_search_matches_the_tuple_search(case):
 
 # (n, target, budget) -> (nodes, exhausted, snake size or None)
 KSNAKE_PINS = {
-    (5, 57, 1_000_000): (134, False, 57),
+    (5, 57, 1_000_000): (1_478, False, 57),
     (5, 58, 30_000): (30_001, False, None),
     (7, 100, 1_000_000): (120, False, 105),
     (7, 2_515, 500_000): (500_001, False, None),
     (8, 100, 1_000_000): (120, False, 105),
-    (4, 4, 1_000_000): (1, True, None),
+    (4, 4, 1_000_000): (0, True, None),
     (9, 1_000, 20_000): (20_001, False, None),
+    (8, 2_521, 100_000): (0, True, None),
+    (10, 181_441, 100_000): (0, True, None),
 }
 
 
