@@ -10,8 +10,8 @@ all m(m-1)/2 pairs.  It takes the codewords as one (m, n) array.
   The ranks are sorted once (stably), and equal-rank runs are the
   distance-0 pairs; the first repeated codeword is read off them too.
   The certificate keeps only the sort order (int32) and the sorted ranks,
-  12 bytes per codeword; the ranks in index order are rebuilt from them,
-  with one scatter, only when a repeat or a close pair is listed.
+  12 bytes per codeword; a codeword's rank is read at its position in the
+  sorted ranks.
 - Swapping the values v and v+1 of a key changes exactly one Lehmer
   digit, the one at the smaller of their two positions a, by +1 when v
   comes first and -1 otherwise: a rank step of ±(n-1-a)!.
@@ -20,22 +20,25 @@ all m(m-1)/2 pairs.  It takes the codewords as one (m, n) array.
   neighbours (F the Fibonacci numbers), each rank the sum of its steps.
 - Kendall: a swap of adjacent positions in p is a swap of adjacent
   values in p⁻¹, so the n - 1 neighbours are single steps of p⁻¹.
-- Every neighbour rank is looked up, each pair once from its smaller
-  rank; a hit is a distance-1 pair.  A neighbour's steps change distinct
-  Lehmer digits by ±1 each, so the leading digit moves by at most one:
-  the larger rank of a pair lies in the slab (the (n-1)! ranks of one
-  leading digit) of the smaller or the next.  Up to n = 13 the lookup is
-  one gather from a window, a bitmap of the codeword ranks in two slabs,
-  2·(n-1)! bits (10 MB at n = 12, 120 MB at n = 13), reused as the
-  sorted codewords are taken slab by slab.  For 14 <= n <= 20 a window
-  would take 1.6 GB or more, so the lookup is a ``searchsorted`` in the
-  sorted ranks.
+- One walk looks every neighbour rank up, each pair once from its
+  smaller rank.  A hit is a distance-1 pair, and the walk marks both of
+  its codewords as near, as it marks every codeword of an equal-rank
+  run.  A neighbour's steps change distinct Lehmer digits by ±1 each,
+  so the leading digit moves by at most one: the larger rank of a pair
+  lies in the slab (the (n-1)! ranks of one leading digit) of the
+  smaller or the next.  Up to n = 13 the lookup is one gather from a
+  window, a bitmap of the codeword ranks in two slabs, 2·(n-1)! bits
+  (10 MB at n = 12, 120 MB at n = 13), reused as the sorted codewords
+  are taken slab by slab.  For 14 <= n <= 20 a window would take 1.6 GB
+  or more, so the lookup is a ``searchsorted`` in the sorted ranks.
 
-With the balls clear the minimum is at least 2, and exactly 2 as soon as
-one consecutive pair is at distance 2.  Otherwise, and for n > 20, a
-chunked scan of every pair computes the exact minimum.  Kendall
-distances in that scan are popcounts of XORed order bitmaps: bit (u, v),
-u < v, records whether u precedes v.
+Both codewords of every close pair are near, so the first VIOLATION_CAP
+close pairs are listed from the first 2·VIOLATION_CAP near codewords by
+index alone.  With no codeword near the minimum is at least 2, and
+exactly 2 as soon as one consecutive pair is at distance 2.  Otherwise,
+and for n > 20, a chunked scan of every pair computes the exact minimum.
+Kendall distances in that scan are popcounts of XORed order bitmaps:
+bit (u, v), u < v, records whether u precedes v.
 """
 from __future__ import annotations
 
@@ -55,7 +58,6 @@ _BITMAP_N = 13  # the largest n whose lookup is a rank window
 _BIT = np.array([1 << b for b in range(8)], dtype=np.uint8)  # bit b of a bitmap byte
 _FACT = np.array([math.factorial(k) for k in range(_MAX_RANK_N + 1)], dtype=np.int64)
 _CHUNK = 1 << 13  # codewords per batch of ball lookups
-_PAIR_CHUNK = 1 << 12  # codewords per batch when listing close pairs
 
 Ball = Callable[[np.ndarray, np.ndarray], Iterator[np.ndarray]]
 Dist = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -116,16 +118,17 @@ def _certify(
         return _ball(_keys(rows, kendall)[1], k, matchings=not kendall)
 
     order, sranks = _sorted_ranks(arr, kendall)
-    repeats = np.flatnonzero(sranks[1:] == sranks[:-1])
-    if len(repeats):
+    near = _near(arr, order, sranks, ball)
+    if len(near):
+        violations = _close_pairs(arr, order, sranks, near, ball)
+        repeats = np.flatnonzero(sranks[1:] == sranks[:-1])
+        if not len(repeats):
+            return Certificate(1, violations, pairs)
         # Equal-rank runs keep index order, so the smallest repeating index
         # is the second of its run, right after its first occurrence.
         t = int(repeats[np.argmin(order[repeats + 1])])
         duplicate = (int(order[t]), int(order[t + 1]))
-        violations = _close_pairs(arr, order, sranks, ball)
         return Certificate(0, _repeat_first(duplicate, violations), pairs)
-    if _ball_hit(arr, order, sranks, ball):
-        return Certificate(1, _close_pairs(arr, order, sranks, ball), pairs)
     x = features(arr)
     if _consecutive_at_two(x, dist):
         return Certificate(2, [], pairs)
@@ -136,8 +139,9 @@ def _certify(
 def _sorted_ranks(arr: np.ndarray, kendall: bool) -> tuple[np.ndarray, np.ndarray]:
     """The stable sort order of the codewords' ranks, and the sorted ranks.
 
-    The ranks in index order die here: only ``_close_pairs`` reads them,
-    and it rebuilds them from these two.  order is int32 whenever m fits.
+    The ranks in index order die here: the codeword at position t of the
+    sorted ranks is order[t], with rank sranks[t].  order is int32 whenever
+    m fits.
     """
     m = len(arr)
     ranks = np.concatenate(
@@ -202,79 +206,83 @@ def _matchings(step: np.ndarray, k: np.ndarray, lowest: int) -> Iterator[np.ndar
         yield from _matchings(step, grown, v + 2)
 
 
-def _ball_hit(arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, ball: Ball) -> bool:
-    """True if some codeword lies in the radius-1 ball of another.
+def _near(arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, ball: Ball) -> np.ndarray:
+    """The sorted positions, in rank order, of every codeword within distance 1 of another.
 
-    Codewords are taken in rank order, so the probes of one batch land
-    near one another in the window or the sorted ranks.  Up to n = 13, for
-    each slab s one reused window holds slabs s and s+1 (none past n!),
-    and the codewords of slab s probe it.
+    Every codeword of an equal-rank run is marked first.  Then codewords
+    are taken in rank order, so the probes of one batch land near one
+    another in the window or the sorted ranks.  Up to n = 13, for each slab
+    s one reused window holds slabs s and s+1 (none past n!), and the
+    codewords of slab s probe it.  A probe that hits marks the probing
+    codeword and its partner.  The walk never stops early.  A valid code
+    marks nothing, so the m flags, at most m bytes whatever the number of
+    close pairs, are made only at the first mark.
     """
+    near: np.ndarray | None = None
 
-    def hit(c0: int, c1: int, lo: int, member: Callable[[np.ndarray], np.ndarray]) -> bool:
+    def mark(positions: np.ndarray) -> None:
+        nonlocal near
+        if near is None:
+            near = np.zeros(len(sranks), dtype=bool)
+        near[positions] = True
+
+    def probe(c0: int, c1: int, lo: int, member: Callable[[np.ndarray], np.ndarray]) -> None:
         # Sorted codewords [c0, c1) probe with their ranks less lo.
         for b0 in range(c0, c1, _CHUNK):
             b1 = min(b0 + _CHUNK, c1)
             k = sranks[b0:b1] - lo
             for q in ball(arr[order[b0:b1]], k):
                 # Balls are symmetric: look each pair up once, from its smaller rank.
-                if member(q[q > k]).any():
-                    return True
-        return False
+                up = q > k
+                hit = member(q[up])
+                if hit.any():
+                    at = np.flatnonzero(up)[hit != 0]
+                    mark(b0 + at)
+                    mark(np.searchsorted(sranks, q[at] + lo))
 
+    repeats = np.flatnonzero(sranks[1:] == sranks[:-1])
+    if len(repeats):
+        mark(np.concatenate([repeats, repeats + 1]))
     n = arr.shape[1]
     if n > _BITMAP_N:
         last = len(sranks) - 1
-        return hit(0, len(sranks), 0, lambda q: sranks[np.minimum(np.searchsorted(sranks, q), last)] == q)
-    slab = math.factorial(n - 1)
-    bits = np.zeros(-(-2 * slab // 8), dtype=np.uint8)
-    edges = np.searchsorted(sranks, slab * np.arange(n + 2))  # first codeword of each slab
-    for s in range(n):
-        held = sranks[edges[s] : edges[s + 2]] - s * slab
-        np.bitwise_or.at(bits, held >> 3, _BIT[held & 7])
-        if hit(edges[s], edges[s + 1], s * slab, lambda q: bits[q >> 3] & _BIT[q & 7]):
-            return True
-        bits[held >> 3] = 0
-    return False
+        probe(0, len(sranks), 0, lambda q: sranks[np.minimum(np.searchsorted(sranks, q), last)] == q)
+    else:
+        slab = math.factorial(n - 1)
+        bits = np.zeros(-(-2 * slab // 8), dtype=np.uint8)
+        edges = np.searchsorted(sranks, slab * np.arange(n + 2))  # first codeword of each slab
+        for s in range(n):
+            held = sranks[edges[s] : edges[s + 2]] - s * slab
+            np.bitwise_or.at(bits, held >> 3, _BIT[held & 7])
+            probe(edges[s], edges[s + 1], s * slab, lambda q: bits[q >> 3] & _BIT[q & 7])
+            bits[held >> 3] = 0
+    return np.flatnonzero(near) if near is not None else np.empty(0, dtype=np.int64)
 
 
 def _close_pairs(
-    arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, ball: Ball
+    arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, near: np.ndarray, ball: Ball
 ) -> list[Violation]:
     """The lexicographically first VIOLATION_CAP pairs at distance 0 or 1.
 
-    Codewords are taken in index order, each with its own rank (distance 0)
-    and its ball (distance 1); a stable sort keeps every equal-rank run in
-    index order, so the partners j > i are a tail of each run.  Listing
-    stops at the first codeword after the cap is reached.
+    Both ends of every close pair are near.  Each of the first 2·VIOLATION_CAP
+    near codewords by index starts a pair or ends one that an earlier one
+    starts, so they start at least VIOLATION_CAP pairs, and every later
+    pair sorts after those.  Only they are looked up, each with its own
+    rank (distance 0) and its ball (distance 1).  A stable sort keeps every
+    equal-rank run in index order, so the partners j > i are a tail of each
+    run.
     """
-    ranks = np.empty_like(sranks)
-    ranks[order] = sranks
+    at = near[np.argsort(order[near])[: 2 * VIOLATION_CAP]]
+    rows, k = order[at], sranks[at]
     found: list[Violation] = []
-    for c0 in range(0, len(ranks), _PAIR_CHUNK):
-        k = ranks[c0 : c0 + _PAIR_CHUNK]
-        rows, lo, hi, dists = [], [], [], []
-        neighbours = ball(arr[c0 : c0 + _PAIR_CHUNK], k)
-        for d, q in ((0, k), *((1, x) for x in neighbours)):
-            left = np.searchsorted(sranks, q, "left")
-            right = np.searchsorted(sranks, q, "right")
-            # A codeword's own rank always finds its own run.
-            hit = np.flatnonzero(right - left > (1 if d == 0 else 0))
-            rows.append(hit)
-            lo.append(left[hit])
-            hi.append(right[hit])
-            dists.append(np.full(len(hit), d))
-        rows_a, lo_a, hi_a, d_a = (np.concatenate(v) for v in (rows, lo, hi, dists))
-        last_i = None
-        for t in np.argsort(rows_a, kind="stable"):
-            i = c0 + int(rows_a[t])
-            if i != last_i and len(found) >= VIOLATION_CAP:
-                return sorted(found)[:VIOLATION_CAP]
-            last_i = i
-            js = order[lo_a[t] : hi_a[t]]
-            found.extend(((i, int(j)), int(d_a[t])) for j in js[js > i][:VIOLATION_CAP])
-        if len(found) >= VIOLATION_CAP:
-            break
+    for d, q in ((0, k), *((1, x) for x in ball(arr[rows], k))):
+        left = np.searchsorted(sranks, q, "left")
+        right = np.searchsorted(sranks, q, "right")
+        # A codeword's own rank always finds its own run.
+        for t in np.flatnonzero(right - left > (1 if d == 0 else 0)):
+            i = int(rows[t])
+            js = order[left[t] : right[t]]
+            found.extend(((i, int(j)), d) for j in js[js > i][:VIOLATION_CAP])
     return sorted(found)[:VIOLATION_CAP]
 
 

@@ -3,9 +3,10 @@
 Up to n = 13 the certificate looks ranks up in a window of two slabs, a
 slab being the (n-1)! ranks of one leading Lehmer digit.  Each code
 here holds exactly one pair at distance 1, planted across a slab edge,
-inside slab 0 or inside the last slab, under either metric.  The window
-must find it, must find nothing once the partner is dropped, and the
-certificate must equal the pairwise scan.
+inside slab 0 or inside the last slab, under either metric.  The ball
+walk must mark exactly the first and the last codeword as near, must mark
+none once the partner is dropped, and the certificate must equal the
+pairwise scan.
 """
 import math
 
@@ -14,10 +15,10 @@ import pytest
 
 from permsnake._pairdist import (
     _ball,
-    _ball_hit,
     _keys,
     _kendall_dist,
     _linf_dist,
+    _near,
     _order_bitmaps,
     _pairwise_scan,
     _ranks,
@@ -73,6 +74,7 @@ def planted(n, metric, case):
 
 
 def window_hit(arr, kendall):
+    """The indices of the codewords that the ball walk marks as near."""
     key, _ = _keys(arr, kendall)
     ranks = _ranks(key)
     order = np.argsort(ranks, kind="stable")
@@ -80,7 +82,7 @@ def window_hit(arr, kendall):
     def ball(rows, k):
         return _ball(_keys(rows, kendall)[1], k, matchings=not kendall)
 
-    return _ball_hit(arr, order, ranks[order], ball)
+    return set(order[_near(arr, order, ranks[order], ball)].tolist())
 
 
 @pytest.mark.parametrize("case", ["edge", "slab 0", "last slab"])
@@ -98,10 +100,10 @@ def test_window_finds_the_planted_pair(n, metric, case):
     dist = _kendall_dist if kendall else _linf_dist
     best, violations = _pairwise_scan(x, dist)
     assert (best, violations) == (1, [((0, m - 1), 1)])
-    assert window_hit(arr, kendall)
+    assert window_hit(arr, kendall) == {0, m - 1}
     certify = min_pairwise_kendall if kendall else min_pairwise_linf
     assert certify(arr) == (best, violations, m * (m - 1) // 2)
 
-    # Without the partner no pair is close, and the window finds none.
+    # Without the partner no pair is close, and the walk marks nothing.
     assert _pairwise_scan(x[:-1], dist)[0] >= 2
-    assert not window_hit(arr[:-1], kendall)
+    assert window_hit(arr[:-1], kendall) == set()
