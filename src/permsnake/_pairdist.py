@@ -5,13 +5,15 @@ ball of another, so the certificate looks balls up instead of comparing
 all m(m-1)/2 pairs.  It takes the codewords as one (m, n) array.
 
 - Every row is a permutation of 1..n (``GrayCode`` checks its start).
-- Each codeword is keyed by the Lehmer rank of a permutation: Chebyshev
-  keys p by p, Kendall by p⁻¹.  Ranks fit an int64 for every n <= 20.
-  The ranks are sorted once (stably), and equal-rank runs are the
-  distance-0 pairs; the first repeated codeword is read off them too.
-  The certificate keeps only the sort order (int32) and the sorted ranks,
-  12 bytes per codeword; a codeword's rank is read at its position in the
-  sorted ranks.
+- The metric is the certificate's one switch.  It picks which of p and
+  p⁻¹ keys a codeword p (Chebyshev keys p, Kendall p⁻¹) and whether a
+  radius-1 ball is the matchings or the single steps of that key.
+- Each codeword is keyed by the Lehmer rank of its key.  Ranks fit an
+  int64 for every n <= 20.  The ranks are sorted once (stably), and
+  equal-rank runs are the distance-0 pairs; the first repeated codeword
+  is read off them too.  The certificate keeps only the sort order
+  (int32) and the sorted ranks, 12 bytes per codeword; a codeword's rank
+  is read at its position in the sorted ranks.
 - Swapping the values v and v+1 of a key changes exactly one Lehmer
   digit, the one at the smaller of their two positions a, by +1 when v
   comes first and -1 otherwise: a rank step of ±(n-1-a)!.
@@ -35,10 +37,13 @@ all m(m-1)/2 pairs.  It takes the codewords as one (m, n) array.
 Both codewords of every close pair are near, so the first VIOLATION_CAP
 close pairs are listed from the first 2·VIOLATION_CAP near codewords by
 index alone.  With no codeword near the minimum is at least 2, and
-exactly 2 as soon as one consecutive pair is at distance 2.  Otherwise,
-and for n > 20, a chunked scan of every pair computes the exact minimum.
-Kendall distances in that scan are popcounts of XORed order bitmaps:
-bit (u, v), u < v, records whether u precedes v.
+exactly 2 as soon as one consecutive pair is at distance 2.  The codes
+the ranks cannot certify, those with n > 20 and those with no codeword
+near and no consecutive pair at distance 2, take one chunked scan of
+every pair, which computes the exact minimum.  Only when that scan finds
+distance 0 is the first repeat read, from a dict of the rows.  Kendall
+distances in the scan are popcounts of XORed order bitmaps: bit (u, v),
+u < v, records whether u precedes v.
 """
 from __future__ import annotations
 
@@ -58,10 +63,6 @@ _BITMAP_N = 13  # the largest n whose lookup is a rank window
 _BIT = np.array([1 << b for b in range(8)], dtype=np.uint8)  # bit b of a bitmap byte
 _FACT = np.array([math.factorial(k) for k in range(_MAX_RANK_N + 1)], dtype=np.int64)
 _CHUNK = 1 << 13  # codewords per batch of ball lookups
-
-Ball = Callable[[np.ndarray, np.ndarray], Iterator[np.ndarray]]
-Dist = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
 
 class Certificate(NamedTuple):
     """The exact pairwise verdict on one list of codewords.
@@ -90,50 +91,40 @@ def find_duplicate(codewords: Iterable[Perm]) -> tuple[int, int] | None:
 
 def min_pairwise_linf(codewords: np.ndarray) -> Certificate:
     """Exact Chebyshev minimum over all pairs of rows of an (m, n) array."""
-    return _certify(codewords, False, lambda arr: arr, _linf_dist)
+    return _certify(codewords, False)
 
 
 def min_pairwise_kendall(codewords: np.ndarray) -> Certificate:
     """Exact Kendall minimum over all pairs of rows of an (m, n) array."""
-    return _certify(codewords, True, _order_bitmaps, _kendall_dist)
+    return _certify(codewords, True)
 
 
-def _certify(
-    codewords: np.ndarray,
-    kendall: bool,
-    features: Callable[[np.ndarray], np.ndarray],
-    dist: Dist,
-) -> Certificate:
+def _certify(codewords: np.ndarray, kendall: bool) -> Certificate:
     arr = np.asarray(codewords)
     m = len(arr)
     if m < 2:
         return Certificate(None, [], 0)
     pairs = m * (m - 1) // 2
-    if arr.shape[1] > _MAX_RANK_N:
-        best, violations = _pairwise_scan(features(arr), dist)
-        duplicate = find_duplicate(map(tuple, arr.tolist()))
-        return Certificate(best, _repeat_first(duplicate, violations), pairs)
-
-    def ball(rows: np.ndarray, k: np.ndarray) -> Iterator[np.ndarray]:
-        return _ball(_keys(rows, kendall)[1], k, matchings=not kendall)
-
-    order, sranks = _sorted_ranks(arr, kendall)
-    near = _near(arr, order, sranks, ball)
-    if len(near):
-        violations = _close_pairs(arr, order, sranks, near, ball)
-        repeats = np.flatnonzero(sranks[1:] == sranks[:-1])
-        if not len(repeats):
-            return Certificate(1, violations, pairs)
-        # Equal-rank runs keep index order, so the smallest repeating index
-        # is the second of its run, right after its first occurrence.
-        t = int(repeats[np.argmin(order[repeats + 1])])
-        duplicate = (int(order[t]), int(order[t + 1]))
-        return Certificate(0, _repeat_first(duplicate, violations), pairs)
-    x = features(arr)
-    if _consecutive_at_two(x, dist):
+    ranked = arr.shape[1] <= _MAX_RANK_N
+    if ranked:
+        order, sranks = _sorted_ranks(arr, kendall)
+        near = _near(arr, order, sranks, kendall)
+        if len(near):
+            violations = _close_pairs(arr, order, sranks, near, kendall)
+            repeats = np.flatnonzero(sranks[1:] == sranks[:-1])
+            if not len(repeats):
+                return Certificate(1, violations, pairs)
+            # Equal-rank runs keep index order, so the smallest repeating index
+            # is the second of its run, right after its first occurrence.
+            t = int(repeats[np.argmin(order[repeats + 1])])
+            duplicate = (int(order[t]), int(order[t + 1]))
+            return Certificate(0, _repeat_first(duplicate, violations), pairs)
+    x, dist = (_order_bitmaps(arr), _kendall_dist) if kendall else (arr, _linf_dist)
+    if ranked and _consecutive_at_two(x, dist):
         return Certificate(2, [], pairs)
     best, violations = _pairwise_scan(x, dist)
-    return Certificate(best, violations, pairs)
+    duplicate = find_duplicate(map(tuple, arr.tolist())) if best == 0 else None
+    return Certificate(best, _repeat_first(duplicate, violations), pairs)
 
 
 def _sorted_ranks(arr: np.ndarray, kendall: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -183,19 +174,20 @@ def _ranks(p: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _ball(inv: np.ndarray, k: np.ndarray, matchings: bool) -> Iterator[np.ndarray]:
-    """The neighbour ranks of each key's radius-1 ball, one array per neighbour.
+def _ball(rows: np.ndarray, k: np.ndarray, kendall: bool) -> Iterator[np.ndarray]:
+    """The neighbour ranks of each codeword's radius-1 ball, one array per neighbour.
 
-    inv holds the (n, m) inverses of the keys, k their ranks.  Row v of
-    the steps is the rank step of swapping the values v and v+1:
-    ±(n-1-a)! with a the smaller of their positions, + when v comes
-    first.  Chebyshev neighbours take the steps of every nonempty
-    matching, Kendall neighbours one step each.
+    rows are (m, n) codewords and k the ranks of their keys; the inverses
+    of the keys are computed here.  Row v of the steps is the rank step
+    of swapping the values v and v+1: ±(n-1-a)! with a the smaller of
+    their positions, + when v comes first.  Chebyshev neighbours take the
+    steps of every nonempty matching, Kendall neighbours one step each.
     """
+    inv = _keys(rows, kendall)[1]
     first, second = inv[:-1], inv[1:]
     step = _FACT[len(inv) - 1 - np.minimum(first, second)]
     step = np.where(first < second, step, -step)
-    return _matchings(step, k, 0) if matchings else (k + s for s in step)
+    return (k + s for s in step) if kendall else _matchings(step, k, 0)
 
 
 def _matchings(step: np.ndarray, k: np.ndarray, lowest: int) -> Iterator[np.ndarray]:
@@ -206,7 +198,7 @@ def _matchings(step: np.ndarray, k: np.ndarray, lowest: int) -> Iterator[np.ndar
         yield from _matchings(step, grown, v + 2)
 
 
-def _near(arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, ball: Ball) -> np.ndarray:
+def _near(arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, kendall: bool) -> np.ndarray:
     """The sorted positions, in rank order, of every codeword within distance 1 of another.
 
     Every codeword of an equal-rank run is marked first.  Then codewords
@@ -231,7 +223,7 @@ def _near(arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, ball: Ball) ->
         for b0 in range(c0, c1, _CHUNK):
             b1 = min(b0 + _CHUNK, c1)
             k = sranks[b0:b1] - lo
-            for q in ball(arr[order[b0:b1]], k):
+            for q in _ball(arr[order[b0:b1]], k, kendall):
                 # Balls are symmetric: look each pair up once, from its smaller rank.
                 up = q > k
                 hit = member(q[up])
@@ -260,7 +252,7 @@ def _near(arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, ball: Ball) ->
 
 
 def _close_pairs(
-    arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, near: np.ndarray, ball: Ball
+    arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, near: np.ndarray, kendall: bool
 ) -> list[Violation]:
     """The lexicographically first VIOLATION_CAP pairs at distance 0 or 1.
 
@@ -275,7 +267,7 @@ def _close_pairs(
     at = near[np.argsort(order[near])[: 2 * VIOLATION_CAP]]
     rows, k = order[at], sranks[at]
     found: list[Violation] = []
-    for d, q in ((0, k), *((1, x) for x in ball(arr[rows], k))):
+    for d, q in ((0, k), *((1, x) for x in _ball(arr[rows], k, kendall))):
         left = np.searchsorted(sranks, q, "left")
         right = np.searchsorted(sranks, q, "right")
         # A codeword's own rank always finds its own run.
@@ -286,7 +278,7 @@ def _close_pairs(
     return sorted(found)[:VIOLATION_CAP]
 
 
-def _consecutive_at_two(x: np.ndarray, dist: Dist) -> bool:
+def _consecutive_at_two(x: np.ndarray, dist: Callable[..., np.ndarray]) -> bool:
     """True if some consecutive pair of rows is at distance exactly 2."""
     for c0 in range(0, len(x) - 1, _CHUNK):
         c1 = min(c0 + _CHUNK, len(x) - 1)
@@ -319,7 +311,7 @@ def _order_bitmaps(arr: np.ndarray) -> np.ndarray:
     return bits.view(np.uint64)
 
 
-def _pairwise_scan(x: np.ndarray, dist: Dist) -> tuple[int, list[Violation]]:
+def _pairwise_scan(x: np.ndarray, dist: Callable[..., np.ndarray]) -> tuple[int, list[Violation]]:
     """Exact minimum and first close pairs over every pair of rows of x."""
     m = len(x)
     best: int | None = None

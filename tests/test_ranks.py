@@ -6,9 +6,12 @@ a permutation with every other one; neither shares code with
 ``_pairdist``.  For every p with n <= 6, and for sampled p with n = 7,
 the certificate's Chebyshev ball must be the ranks of the q at Chebyshev
 distance 1 from p, and its Kendall ball must be the ranks of q⁻¹ for the
-q at Kendall distance 1, each neighbour listed once.
+q at Kendall distance 1, each neighbour listed once.  At n = 20, where
+ranks reach 20! - 1, the ranks and balls of three rows are checked
+against Lehmer ranks in Python ints of the explicitly swapped rows.
 """
 import itertools
+import math
 import random
 
 import numpy as np
@@ -51,9 +54,8 @@ def kendall(p, table):
 
 def certificate_balls(rows, kendall_metric):
     """Sorted neighbour ranks per row, and each row's own rank, from ``_pairdist``."""
-    key, inv = _keys(rows, kendall_metric)
-    k = _ranks(key)
-    neighbours = list(_ball(inv, k, matchings=not kendall_metric))
+    k = _ranks(_keys(rows, kendall_metric)[0])
+    neighbours = list(_ball(rows, k, kendall_metric))
     if not neighbours:
         return k, [[] for _ in range(len(rows))]
     return k, np.sort(np.stack(neighbours), axis=0).T.tolist()
@@ -86,5 +88,48 @@ def test_sampled_balls_at_n7():
 def test_ball_sizes():
     # F(n+1) - 1 Chebyshev neighbours (F the Fibonacci numbers), n - 1 Kendall.
     rows = all_perms(6)[:1]
-    assert len(list(_ball(_keys(rows, False)[1], _ranks(_keys(rows, False)[0]), True))) == 12
-    assert len(list(_ball(_keys(rows, True)[1], _ranks(_keys(rows, True)[0]), False))) == 5
+    assert len(list(_ball(rows, _ranks(_keys(rows, False)[0]), False))) == 12
+    assert len(list(_ball(rows, _ranks(_keys(rows, True)[0]), True))) == 5
+
+
+def lehmer(p):
+    """The Lehmer rank of a permutation of 1..n, in Python ints."""
+    n = len(p)
+    return sum(sum(q < p[a] for q in p[a + 1 :]) * math.factorial(n - 1 - a) for a in range(n))
+
+
+def inverse(p):
+    inv = [0] * len(p)
+    for a, v in enumerate(p):
+        inv[v - 1] = a + 1
+    return tuple(inv)
+
+
+def value_swaps(p, lowest=1):
+    """p with the values of each nonempty set of disjoint pairs {v, v+1}, v >= lowest, swapped."""
+    for v in range(lowest, len(p)):
+        q = tuple(v + 1 if x == v else v if x == v + 1 else x for x in p)
+        yield q
+        yield from value_swaps(q, v + 2)
+
+
+def test_ranks_and_balls_at_n20_against_python_ints():
+    n = 20
+    drawn = tuple(random.Random(20).sample(range(1, n + 1), n))
+    rows = [tuple(range(1, n + 1)), tuple(range(n, 0, -1)), drawn]
+    own_linf, linf_balls = certificate_balls(np.array(rows, dtype=np.uint8), False)
+    own_kendall, kendall_balls = certificate_balls(np.array(rows, dtype=np.uint8), True)
+    assert own_linf.tolist()[:2] == own_kendall.tolist()[:2] == [0, math.factorial(n) - 1]
+    assert math.factorial(n) - 1 == 2_432_902_008_176_639_999
+    for r, p in enumerate(rows):
+        assert own_linf[r] == lehmer(p)
+        assert own_kendall[r] == lehmer(inverse(p))
+        linf = sorted(lehmer(q) for q in value_swaps(p))
+        assert len(linf) == 10_945  # F(21) - 1
+        assert linf_balls[r] == linf
+        kendall_ball = []
+        for a in range(n - 1):
+            q = list(p)
+            q[a], q[a + 1] = q[a + 1], q[a]
+            kendall_ball.append(lehmer(inverse(q)))
+        assert kendall_balls[r] == sorted(kendall_ball)
