@@ -74,8 +74,8 @@ def rmgc_block(sigma: Sequence[int], variant: int) -> GrayCode:
     if rotation[-1] != (k if variant == 1 else k - 1):
         raise AssertionError(f"rotation ends on t_{rotation[-1]}, not the variant's anchor")
 
-    transitions = (k,) * (k - 1) + (k + 1,) + tuple(rotation[: math.factorial(k) - 1])
-    block = GrayCode(n, sigma, transitions, cyclic=False, metric_tag=METRIC_LINF)
+    pushes = bytes((k,) * (k - 1) + (k + 1,)) + bytes(rotation[: math.factorial(k) - 1])
+    block = GrayCode(n, sigma, pushes, cyclic=False, metric_tag=METRIC_LINF)
 
     front = sigma[1 : k + 1]  # (a2, ..., ak, a1)
     if variant == 1:
@@ -98,7 +98,6 @@ def ksnake_block(sigma: Sequence[int], snake_seq: Sequence[int]) -> GrayCode:
     """
     sigma = check_perm(sigma)
     n = len(sigma)
-    seq = tuple(snake_seq)
     a_par = sigma[0] % 2
     l = sum(1 for v in range(1, n + 1) if v % 2 != a_par)
     if l < 1 or l >= n:
@@ -113,19 +112,19 @@ def ksnake_block(sigma: Sequence[int], snake_seq: Sequence[int]) -> GrayCode:
             raise _shape_error(
                 f"position {pos} must hold the same parity as position 1", sigma
             )
-    if not seq:
+    if not snake_seq:
         raise ValueError("empty transition sequence: need a cyclic snake of size >= 1")
-    for i in seq:
+    for i in snake_seq:
         if not 2 <= i <= l + 1:
             raise ValueError(
                 f"transition t_{i} touches positions beyond the front segment 1..{l + 1}"
             )
-    if seq[-1] != l + 1:
+    if snake_seq[-1] != l + 1:
         raise ValueError(
-            f"last transition must be t_{l + 1} to restore the front, got t_{seq[-1]}"
+            f"last transition must be t_{l + 1} to restore the front, got t_{snake_seq[-1]}"
         )
 
-    block = GrayCode(n, sigma, seq[:-1], cyclic=False, metric_tag=METRIC_LINF)
+    block = GrayCode(n, sigma, snake_seq[:-1], cyclic=False, metric_tag=METRIC_LINF)
     expected_end = sigma[1 : l + 1] + (sigma[0],) + sigma[l + 1 :]
     if block.end != expected_end:
         raise ValueError(

@@ -49,8 +49,8 @@ from .verify import SnakeReport, exhaustive_max_snake, verify_code
 ABSENT = "—"  # table placeholder for sizes without a construction
 SIZES_MAX_N = 100  # sizes tabulates n in 4..100; thm1 stops at RMGC_SNAKE_MAX_N = 13
 # construct rmgc checks completeness and closure up to this n.  The check
-# is what limits it: it walks and ranks all n! words, about 0.08 s at n=9,
-# while at n=10 it would add about 0.7 s to a 0.2-s command (see README).
+# is what limits it: it walks and ranks all n! words, about 0.1 s at n=9,
+# while at n=10 it would add 0.8-1.0 s to a 0.3-s command (see README).
 RMGC_CHECK_MAX_N = 9
 MODE_OPTION = dict(
     choices=["exhaustive", "sampled"],
@@ -110,7 +110,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.method == "lemma3":
         code = rmgc_block(rmgc_snake_start(n), args.variant)
     elif args.method == "lemma7":
-        code = ksnake_block(ksnake_snake_start(n), _load_snake_source(args).transitions)
+        code = ksnake_block(ksnake_snake_start(n), _load_snake_source(args).pushes)
     else:  # pragma: no cover - argparse constrains the choices
         raise AssertionError(args.method)
 
@@ -226,7 +226,7 @@ def _cmd_import_ksnake(args: argparse.Namespace) -> int:
         text = fh.read()
     snake = parse_ksnake_fields(text)
     print(verify_snake(snake).summary_line())
-    print(f"start={format_perm(snake.start)} last_transition=t{snake.transitions[-1]}")
+    print(f"start={format_perm(snake.start)} last_transition=t{snake.pushes[-1]}")
     if args.out:
         _write_out(ksnake_chunks(snake), args.out)
     return 0

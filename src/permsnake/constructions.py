@@ -83,22 +83,20 @@ def _chain_blocks(
     """Chain one block and one boundary push t_{idx+shift} per tail transition t_idx.
 
     ``block(cur, boundary)`` builds the block from the round's start; the
-    rounds must return the word to start.  Each round is kept as bytes, one
-    per push (n <= 19, since the tail's RMGC has at most MAX_N symbols), and
-    the code's transition tuple is built once from their join, so no list
-    of every push sits beside it.
+    rounds must return the word to start.  Each round is the block's pushes
+    and the boundary push, one byte each (n <= 19, since the tail's RMGC has
+    at most MAX_N symbols), and the code's pushes are their join.
     """
     rounds: list[bytes] = []
     cur = start
     for idx in tail_code.seq:
         boundary = idx + shift
         code = block(cur, boundary)
-        rounds.append(bytes(code.transitions + (boundary,)))
+        rounds.append(code.pushes + bytes((boundary,)))
         cur = apply_transition(code.end, boundary)
     if cur != start:
         raise AssertionError("boundary Gray code failed to close")
-    transitions = tuple(b"".join(rounds))
-    return GrayCode(len(start), start, transitions, cyclic=True, metric_tag=METRIC_LINF)
+    return GrayCode(len(start), start, b"".join(rounds), cyclic=True, metric_tag=METRIC_LINF)
 
 
 def snake_from_rmgc(n: int) -> GrayCode:
@@ -156,10 +154,10 @@ def snake_from_ksnake(n: int, snake: GrayCode) -> GrayCode:
         raise ValueError(
             f"need a Kendall snake over {front} symbols for n={n}, got {snake.n}"
         )
-    if snake.transitions[-1] != front:
+    if snake.pushes[-1] != front:
         raise ValueError(
-            f"the snake's last transition must be t_{front}, got t_{snake.transitions[-1]}"
+            f"the snake's last transition must be t_{front}, got t_{snake.pushes[-1]}"
         )
     return _chain_blocks(
-        start, build_rmgc(2 * k + 1), front - 1, lambda cur, _: ksnake_block(cur, snake.transitions)
+        start, build_rmgc(2 * k + 1), front - 1, lambda cur, _: ksnake_block(cur, snake.pushes)
     )

@@ -22,7 +22,8 @@ chunks.  Transition lines and the codeword listing are written by one
 vectorised token writer, ``_token_chunks``, from integer arrays, and read
 back by one vectorised token reader, ``_read_ints``; a listing is read
 into one array and compared with the recomputed codewords in one pass.
-RMGC transitions stay one byte each from the reader to ``RmgcSequence``.
+Transitions stay one byte each from the reader to ``GrayCode`` and
+``RmgcSequence``.
 Text the reader does not take (any byte but an ASCII digit, a space or a
 newline, or a token of more than 18 digits) is parsed token by token
 instead, so that the first malformed token or line is the one named.
@@ -30,7 +31,7 @@ instead, so that the first malformed token or line is the one named.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -149,8 +150,8 @@ def _read_ints(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _packed_transitions(lines: list[str]) -> bytes | tuple[int, ...]:
     """The transition tokens of lines: one byte each when the reader takes them
-    all and each is below 256, else a tuple, which ``RmgcSequence`` turns
-    into bytes or rejects.
+    all and each is below 256, else a tuple, which ``GrayCode`` and
+    ``RmgcSequence`` turn into bytes or keep or reject.
 
     A malformed token raises the ParseError ``parse_transitions`` gives.
     """
@@ -161,18 +162,11 @@ def _packed_transitions(lines: list[str]) -> bytes | tuple[int, ...]:
     return values.tobytes() if values.dtype == np.uint8 else tuple(values.tolist())
 
 
-def _transitions(lines: list[str]) -> tuple[int, ...]:
-    """The transition tokens of lines as a tuple."""
-    # Iterating bytes gives ints with no list of them in between.
-    return tuple(_packed_transitions(lines))
-
-
-def _as_array(seq: Sequence[int]) -> np.ndarray:
-    """A sequence of non-negative ints as an array, without an int64 copy when all are below 256."""
-    try:
-        return np.frombuffer(bytes(seq), dtype=np.uint8)
-    except ValueError:  # a value of 256 or more
-        return np.array(seq, dtype=np.uint64)
+def _as_array(pushes: bytes | tuple[int, ...]) -> np.ndarray:
+    """Pushes as an array: a view of bytes, or a copy of a tuple (values of 256 or more)."""
+    if isinstance(pushes, bytes):
+        return np.frombuffer(pushes, dtype=np.uint8)
+    return np.array(pushes, dtype=np.uint64)
 
 
 def document_chunks(doc: CodeDocument, include_codewords: bool = False) -> Iterator[str]:
@@ -183,7 +177,7 @@ def document_chunks(doc: CodeDocument, include_codewords: bool = False) -> Itera
         f"cyclic={str(code.cyclic).lower()} method={doc.method}\n"
     )
     yield f"{format_perm(code.start)}\n"
-    yield from _token_chunks(_as_array(code.transitions), _WRAP)
+    yield from _token_chunks(_as_array(code.pushes), _WRAP)
     if include_codewords:
         yield "codewords:\n"
         yield from _token_chunks(code._codewords, code.n)
@@ -234,14 +228,14 @@ def _parse_code(
     start = _parsed(parse_perm, lines[0])
     if len(start) != n:
         raise ParseError(f"start has {len(start)} values but header says n={n}")
-    transitions = _transitions(lines[1:])
+    pushes = _packed_transitions(lines[1:])
     expected_len = size if cyclic else size - 1
-    if len(transitions) != expected_len:
+    if len(pushes) != expected_len:
         raise ParseError(
             f"header says size={size} ({'cyclic' if cyclic else 'noncyclic'}, "
-            f"{expected_len} transitions) but {len(transitions)} follow"
+            f"{expected_len} transitions) but {len(pushes)} follow"
         )
-    return GrayCode(n, start, transitions, cyclic, metric)
+    return GrayCode(n, start, pushes, cyclic, metric)
 
 
 def parse_document(text: str) -> CodeDocument:
@@ -300,7 +294,7 @@ def ksnake_chunks(snake: GrayCode) -> Iterator[str]:
     """Text form in chunks: header, start permutation, one line of transitions."""
     yield f"ksnake n={snake.n} size={snake.size}\n"
     yield f"{format_perm(snake.start)}\n"
-    yield from _token_chunks(_as_array(snake.transitions), max(1, len(snake.transitions)))
+    yield from _token_chunks(_as_array(snake.pushes), max(1, len(snake.pushes)))
 
 
 def format_ksnake(snake: GrayCode) -> str:

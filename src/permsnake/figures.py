@@ -43,7 +43,7 @@ def generate_figure(name: str) -> str:
     if name in ("fig1", "fig2"):
         block = rmgc_block(rmgc_snake_start(6), 1 if name == "fig1" else 2)
     elif name == "fig4":
-        block = ksnake_block(ksnake_snake_start(7), embedded_a5_snake().transitions)
+        block = ksnake_block(ksnake_snake_start(7), embedded_a5_snake().pushes)
     elif name == "fig3":
         return _boundary_rows(snake_from_rmgc(6), 9)
     elif name == "fig5":

@@ -49,7 +49,7 @@ def build_ksnake(n: int, start: Sequence[int], transitions: Sequence[int]) -> Gr
     start = check_perm(start)
     if len(start) != n:
         raise VerificationError(f"start has length {len(start)}, expected n={n}")
-    snake = GrayCode(n, start, tuple(transitions), cyclic=True, metric_tag=METRIC_KENDALL)
+    snake = GrayCode(n, start, transitions, cyclic=True, metric_tag=METRIC_KENDALL)
     verify_snake(snake)
     return snake
 
@@ -60,7 +60,7 @@ def verify_snake(snake: GrayCode) -> SnakeReport:
     Raises VerificationError naming the first failure (closure, duplicate,
     distance, parity, in that order); returns the passing report.
     """
-    if not snake.transitions:
+    if not snake.pushes:
         raise VerificationError("a cyclic snake needs at least one transition")
     report = verify_code(snake)
     if not report.cyclic_ok:
@@ -79,7 +79,7 @@ def verify_snake(snake: GrayCode) -> SnakeReport:
 def check_parity(snake: GrayCode) -> None:
     """Raise VerificationError naming the first codeword outside the start's coset."""
     # t_i is an i-cycle on positions, so only an even i flips the parity.
-    for idx, i in enumerate(snake.transitions[: snake.size - 1], start=1):
+    for idx, i in enumerate(snake.pushes[: snake.size - 1], start=1):
         if i % 2 == 0:
             raise VerificationError(f"codeword {idx} breaks the uniform parity")
 
@@ -96,7 +96,7 @@ def transport(snake: GrayCode, new_start: Sequence[int]) -> GrayCode:
     gives a snake of equal size and equal pairwise distances from any
     start; the result is verified anyway.
     """
-    return build_ksnake(snake.n, new_start, snake.transitions)
+    return build_ksnake(snake.n, new_start, snake.pushes)
 
 
 def parse_ksnake(text: str) -> GrayCode:

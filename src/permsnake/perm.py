@@ -14,6 +14,7 @@ Conventions used everywhere in this package:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -26,8 +27,6 @@ Perm = tuple[int, ...]
 
 METRIC_LINF = "linf"
 METRIC_KENDALL = "kendall"
-
-_WALK_CHUNK = 1 << 14  # words joined into codeword rows at a time
 
 
 def identity(n: int) -> Perm:
@@ -130,7 +129,7 @@ def check_transitions(transitions: Sequence[int], n: int) -> None:
     """
     if isinstance(transitions, bytes):
         values = np.frombuffer(transitions, dtype=np.uint8)
-        ok = 2 <= values.min(initial=2) and values.max(initial=n) <= n
+        ok = 2 <= values.min(initial=2) and values.max(initial=min(n, 255)) <= n
     else:
         ok = 2 <= min(transitions, default=2) and max(transitions, default=n) <= n
     if not ok:
@@ -141,71 +140,101 @@ def check_transitions(transitions: Sequence[int], n: int) -> None:
 def _walk(start: Perm, transitions: Sequence[int]) -> np.ndarray:
     """Every word a push-to-the-top walk visits, start first, as one integer array.
 
-    The rows are uint8 when n <= 255 and uint16 above that.  The word is a
-    ``bytes`` object of one row's bytes, so one move is three slices, and
-    about 16 K words at a time are joined into rows of the
-    (len(transitions) + 1, n) result; no tuple per word is made.
+    The rows are uint8 when n <= 255 and uint16 above that.  A push acts on
+    positions, so the m pushes are cut into about sqrt(m) chunks, and each
+    chunk's position map, relative to its first word, moves forward one
+    push per numpy gather in lockstep with the others, written straight
+    into the chunk's rows of the (m + 1, n) result.  Each chunk is then
+    relabelled by its first word, the last word of the chunk before.  No
+    Python object is made per word, and no temporary is larger than
+    O(sqrt(m) * n).
     """
     n = len(start)
     check_transitions(transitions, n)
     dtype = np.dtype(np.uint8 if n <= 255 else np.uint16)
-    w = dtype.itemsize
-    # (moved value, prefix, suffix) byte slices of each move
-    cuts = [(slice(w * i - w, w * i), slice(w * i - w), slice(w * i, None)) for i in range(n + 1)]
-    chain = np.empty((len(transitions) + 1, n), dtype=dtype)
+    m = len(transitions)
+    chain = np.empty((m + 1, n), dtype=dtype)
     chain[0] = start
-    word = chain[0].tobytes()
-    for c0 in range(0, len(transitions), _WALK_CHUNK):
-        words: list[bytes] = []
-        push = words.append
-        for i in transitions[c0 : c0 + _WALK_CHUNK]:
-            moved, prefix, suffix = cuts[i]
-            word = word[moved] + word[prefix] + word[suffix]
-            push(word)
-        block = np.frombuffer(b"".join(words), dtype=dtype).reshape(len(words), n)
-        chain[1 + c0 : 1 + c0 + len(words)] = block
+    if not m:
+        return chain
+    if isinstance(transitions, bytes):
+        pushes = np.frombuffer(transitions, dtype=np.uint8)
+    else:
+        pushes = np.asarray(transitions)
+    step = math.isqrt(m - 1) + 1  # pushes per chunk, ceil(sqrt(m))
+    chunks = -(-m // step)
+    last = m - (chunks - 1) * step  # pushes in the last chunk
+    # moves[i][k]: the position whose value lands at position k under t_i
+    moves = np.tile(np.arange(n), (n + 1, 1))
+    for i in range(2, n + 1):
+        moves[i, :i] = np.roll(moves[i, :i], 1)
+    offsets = np.arange(chunks)[:, None] * n  # each chunk's row in the flat maps
+    maps = np.tile(np.arange(n, dtype=dtype), (chunks, 1))
+    for t in range(step):
+        k = chunks if t < last else chunks - 1
+        at = slice(t, t + (k - 1) * step + 1, step)  # push t of each chunk
+        maps = maps[:k].reshape(-1)[moves[pushes[at]] + offsets[:k]]
+        chain[1:][at] = maps
+    for c0 in range(0, m, step):
+        rows = chain[1 + c0 : 1 + c0 + step]
+        rows[...] = chain[c0][rows]
     return chain
 
 
 @lru_cache(maxsize=16)
-def _end_positions(n: int, transitions: tuple[int, ...]) -> tuple[int, ...]:
+def _end_positions(n: int, pushes: bytes | tuple[int, ...]) -> tuple[int, ...]:
     """Which start position each position of a walk's last word holds the value of."""
-    return tuple(_walk(tuple(range(n)), transitions)[-1].tolist())
+    return tuple(_walk(tuple(range(n)), pushes)[-1].tolist())
 
 
 @dataclass(frozen=True)
 class GrayCode:
-    """A Gray code given by start, transitions and a cyclic flag.
+    """A Gray code given by start, pushes and a cyclic flag.
 
-    Codewords are always derived from the transitions, never stored as
-    the source of truth.  For a cyclic code the final transition maps the
-    last codeword back to the start; a noncyclic code has size
-    len(transitions) + 1.  Snake blocks are noncyclic Gray codes and
-    Kendall snakes are cyclic ones tagged with the Kendall metric.  The
-    start must be a permutation of 1..n and the metric linf or kendall,
-    or construction raises ValueError, so every codeword is a permutation.
+    Codewords are always derived from the pushes, never stored as the
+    source of truth.  For a cyclic code the final push maps the last
+    codeword back to the start; a noncyclic code has size len(pushes) + 1.
+    Snake blocks are noncyclic Gray codes and Kendall snakes are cyclic
+    ones tagged with the Kendall metric.  The start must be a permutation
+    of 1..n and the metric linf or kendall, or construction raises
+    ValueError, so every codeword is a permutation.
 
-    ``_chain`` walks the transitions once into one array of every word
-    they visit, uint8 up to n = 255; ``_codewords`` is its first ``size``
-    rows and ``codewords()`` a list-of-tuples view.  Moves act on
-    positions, not values, so ``end`` is the start relabelled by one
-    position map, which is walked once per distinct transition tuple:
-    blocks of one shape from many starts share that walk.
+    ``start`` is kept as a tuple and ``pushes`` as bytes, one per push,
+    whatever sequences they are given as, so codes equal as sequences
+    compare and hash equal.  Pushes with a value outside 0..255 (n > 255,
+    or a bad push) stay a tuple, so the walk names the bad one.
+    ``transitions`` is the pushes as a tuple of ints, built only when
+    asked for; no construct, verify or write path asks.
+
+    ``_chain`` walks the pushes once into one array of every word they
+    visit, uint8 up to n = 255; ``_codewords`` is its first ``size`` rows
+    and ``codewords()`` a list-of-tuples view.  Moves act on positions,
+    not values, so ``end`` is the start relabelled by one position map,
+    which is walked once per distinct push sequence: blocks of one shape
+    from many starts share that walk.
 
     >>> code = GrayCode(3, (1, 2, 3), (3, 3, 3), True, METRIC_LINF)
-    >>> code.codewords(), code.end
-    ([(1, 2, 3), (3, 1, 2), (2, 3, 1)], (1, 2, 3))
+    >>> code.codewords(), code.end, code.pushes
+    ([(1, 2, 3), (3, 1, 2), (2, 3, 1)], (1, 2, 3), b'\\x03\\x03\\x03')
     >>> GrayCode(3, (1, 2, 3), (3, 2), False, METRIC_LINF).end
     (1, 3, 2)
     """
 
     n: int
     start: Perm
-    transitions: tuple[int, ...]
+    pushes: bytes | tuple[int, ...]
     cyclic: bool
     metric_tag: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "start", tuple(self.start))
+        if not isinstance(self.pushes, bytes):
+            pushes = tuple(self.pushes)
+            try:
+                pushes = bytes(pushes)
+            except (TypeError, ValueError):  # a value outside 0..255, or not an int
+                pass
+            object.__setattr__(self, "pushes", pushes)
         if len(self.start) != self.n or not is_perm(self.start):
             raise ValueError(f"start {list(self.start)} is not a permutation of 1..{self.n}")
         if self.metric_tag not in (METRIC_LINF, METRIC_KENDALL):
@@ -213,16 +242,20 @@ class GrayCode:
 
     @property
     def size(self) -> int:
-        return len(self.transitions) if self.cyclic else len(self.transitions) + 1
+        return len(self.pushes) if self.cyclic else len(self.pushes) + 1
+
+    @cached_property
+    def transitions(self) -> tuple[int, ...]:
+        return tuple(self.pushes)
 
     @cached_property
     def _chain(self) -> np.ndarray:
-        return _walk(self.start, self.transitions)
+        return _walk(self.start, self.pushes)
 
     @property
     def end(self) -> Perm:
-        """The word reached after every transition; a cyclic code closes iff it is start."""
-        return tuple(self.start[j] for j in _end_positions(len(self.start), self.transitions))
+        """The word reached after every push; a cyclic code closes iff it is start."""
+        return tuple(self.start[j] for j in _end_positions(len(self.start), self.pushes))
 
     @cached_property
     def _codewords(self) -> np.ndarray:

@@ -15,7 +15,7 @@ from permsnake.constructions import (
     snake_from_rmgc,
     snake_upper_bound,
 )
-from permsnake.documents import CodeDocument, format_document
+from permsnake.documents import CodeDocument, document_chunks, format_document, parse_document
 from permsnake.ksnake import build_ksnake, embedded_a5_snake, search_ksnake
 from permsnake.perm import apply_sequence, apply_transition, identity, linf_distance
 from permsnake.verify import verify_code
@@ -264,3 +264,28 @@ def test_rmgc_snake_min_distance_pairs():
         for i in range(54)
         for j in range(i + 1, 54)
     ) == 2
+
+
+def test_gray_codes_from_lists_tuples_and_bytes_are_equal():
+    codes = [
+        GrayCode(3, start, pushes, True, "linf")
+        for start in ((1, 2, 3), [1, 2, 3])
+        for pushes in ((3, 3, 3), [3, 3, 3], b"\x03\x03\x03")
+    ]
+    for code in codes:
+        assert code == codes[0]
+        assert hash(code) == hash(codes[0])
+        assert code.end == (1, 2, 3)
+        assert code.start == (1, 2, 3) and code.pushes == b"\x03\x03\x03"
+    assert verify_code(codes[-1]).valid
+
+
+def test_construct_write_parse_and_verify_never_build_the_transition_tuple():
+    for code in (snake_from_rmgc(10), snake_from_ksnake(9, embedded_a5_snake())):
+        assert verify_code(code).valid
+        text = "".join(document_chunks(CodeDocument(code, "thm1")))
+        parsed = parse_document(text).code
+        assert verify_code(parsed).valid and parsed == code
+        for c in (code, parsed):
+            assert "transitions" not in vars(c)
+            assert isinstance(c.pushes, bytes)

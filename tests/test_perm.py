@@ -194,3 +194,41 @@ def test_text_round_trips():
         parse_perm("1 x 3")
     with pytest.raises(ValueError):
         parse_transitions("tx")
+
+
+def walk_cases():
+    """(n, length) pairs: the smallest lengths and both sides of a chunk edge k*k."""
+    for n in (2, 3, 9, 12, 20, 256, 300):
+        for k in (3, 8):
+            for m in (0, 1, 2, k * k - 1, k * k, k * k + 1):
+                yield n, m
+
+
+@pytest.mark.parametrize("n, m", sorted(set(walk_cases())))
+def test_lockstep_walk_matches_apply_sequence(n, m):
+    rng = random.Random(1000 * n + m)
+    start = random_perm(rng, n)
+    pushes = tuple(rng.randint(2, n) for _ in range(m))
+    expected = [list(p) for p in apply_sequence(start, pushes)]
+    inputs = [pushes, bytes(pushes)] if n <= 255 else [pushes]
+    for given in inputs:
+        chain = perm._walk(start, given)
+        assert chain.shape == (m + 1, n)
+        assert chain.tolist() == expected
+        code = perm.GrayCode(n, start, given, False, perm.METRIC_LINF)
+        assert list(code.end) == chain[-1].tolist()
+
+
+@pytest.mark.parametrize("n", [3, 12, 300])
+def test_walk_names_the_first_bad_push(n):
+    for bad in (1, n + 1, 0, -2, 256):
+        if 2 <= bad <= n:
+            continue  # 256 is a push at n = 300
+        pushes = (2, n, bad, 2, 0)
+        message = f"^transition index {bad} outside 2..{n}$"
+        inputs = [pushes, bytes(pushes)] if 0 <= bad <= 255 and n <= 255 else [pushes]
+        for given in inputs:
+            with pytest.raises(InvalidTransitionError, match=message):
+                perm._walk(identity(n), given)
+            with pytest.raises(InvalidTransitionError, match=message):
+                perm.GrayCode(n, identity(n), given, True, perm.METRIC_LINF)._chain
