@@ -22,8 +22,9 @@ chunks.  Transition lines and the codeword listing are written by one
 vectorised token writer, ``_token_chunks``, from integer arrays, and read
 back by one vectorised token reader, ``_read_ints``; a listing is read
 into one array and compared with the recomputed codewords in one pass.
-Transitions stay one byte each from the reader to ``GrayCode`` and
-``RmgcSequence``.
+The reader hands transitions on as its array, and ``GrayCode`` and
+``RmgcSequence`` check and pack them; the writers read a code's packed
+pushes through ``perm.push_array``.
 Text the reader does not take (any byte but an ASCII digit, a space or a
 newline, or a token of more than 18 digits) is parsed token by token
 instead, so that the first malformed token or line is the one named.
@@ -43,6 +44,7 @@ from .perm import (
     format_perm,
     parse_perm,
     parse_transitions,
+    push_array,
 )
 from .rmgc import RmgcSequence
 
@@ -148,25 +150,16 @@ def _read_ints(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     return np.concatenate(values), np.concatenate(counts)
 
 
-def _packed_transitions(lines: list[str]) -> bytes | tuple[int, ...]:
-    """The transition tokens of lines: one byte each when the reader takes them
-    all and each is below 256, else a tuple, which ``GrayCode`` and
-    ``RmgcSequence`` turn into bytes or keep or reject.
+def _packed_transitions(lines: list[str]) -> np.ndarray | tuple[int, ...]:
+    """The transition tokens of lines: the reader's array when it takes them
+    all, else a tuple, for ``GrayCode`` or ``RmgcSequence`` to check and pack.
 
     A malformed token raises the ParseError ``parse_transitions`` gives.
     """
     read = _read_ints(lines)
     if read is None:
         return _parsed(parse_transitions, " ".join(lines))
-    values = read[0]
-    return values.tobytes() if values.dtype == np.uint8 else tuple(values.tolist())
-
-
-def _as_array(pushes: bytes | tuple[int, ...]) -> np.ndarray:
-    """Pushes as an array: a view of bytes, or a copy of a tuple (values of 256 or more)."""
-    if isinstance(pushes, bytes):
-        return np.frombuffer(pushes, dtype=np.uint8)
-    return np.array(pushes, dtype=np.uint64)
+    return read[0]
 
 
 def document_chunks(doc: CodeDocument, include_codewords: bool = False) -> Iterator[str]:
@@ -177,7 +170,7 @@ def document_chunks(doc: CodeDocument, include_codewords: bool = False) -> Itera
         f"cyclic={str(code.cyclic).lower()} method={doc.method}\n"
     )
     yield f"{format_perm(code.start)}\n"
-    yield from _token_chunks(_as_array(code.pushes), _WRAP)
+    yield from _token_chunks(push_array(code.pushes), _WRAP)
     if include_codewords:
         yield "codewords:\n"
         yield from _token_chunks(code._codewords, code.n)
@@ -217,9 +210,10 @@ def _parsed(parse: Callable[..., Any], *args: Any) -> Any:
 
 
 def _parse_code(
-    lines: list[str], n: int, size: int, cyclic: bool, metric: str
-) -> GrayCode:
-    """The code a start line and transition lines spell, checked against the header."""
+    lines: list[str], n: int, size: int, cyclic: bool
+) -> tuple[tuple[int, ...], np.ndarray | tuple[int, ...]]:
+    """The start and pushes a start line and transition lines spell, checked
+    against the header; the pushes are checked when their code is made."""
     if cyclic and size < 1:
         raise ParseError(f"a cyclic snake needs size >= 1, got size={size}")
     if not lines:
@@ -235,7 +229,7 @@ def _parse_code(
             f"header says size={size} ({'cyclic' if cyclic else 'noncyclic'}, "
             f"{expected_len} transitions) but {len(pushes)} follow"
         )
-    return GrayCode(n, start, pushes, cyclic, metric)
+    return start, pushes
 
 
 def parse_document(text: str) -> CodeDocument:
@@ -256,10 +250,13 @@ def parse_document(text: str) -> CodeDocument:
     if "codewords:" in lines[2:]:
         cut = lines.index("codewords:", 2)
         body, listing = lines[1:cut], lines[cut + 1 :]
-    code = _parse_code(body, n, size, cyclic, metric)
-    if listing is not None:
-        listed = _listed(listing, n)
-        words = code._codewords  # walked first: a bad transition raises before any verdict
+    start, pushes = _parse_code(body, n, size, cyclic)
+    # A malformed listing line is named before a bad push, and a bad push
+    # before any verdict on the listing.
+    listed = None if listing is None else _listed(listing, n)
+    code = GrayCode(n, start, pushes, cyclic, metric)
+    if listed is not None:
+        words = code._codewords
         mismatch = "codeword listing does not match the transitions"
         if len(listed) != size:
             raise VerificationError(mismatch)
@@ -294,7 +291,7 @@ def ksnake_chunks(snake: GrayCode) -> Iterator[str]:
     """Text form in chunks: header, start permutation, one line of transitions."""
     yield f"ksnake n={snake.n} size={snake.size}\n"
     yield f"{format_perm(snake.start)}\n"
-    yield from _token_chunks(_as_array(snake.pushes), max(1, len(snake.pushes)))
+    yield from _token_chunks(push_array(snake.pushes), max(1, len(snake.pushes)))
 
 
 def format_ksnake(snake: GrayCode) -> str:
@@ -303,17 +300,21 @@ def format_ksnake(snake: GrayCode) -> str:
 
 
 def parse_ksnake_fields(text: str) -> GrayCode:
-    """Parse the ksnake text format into a snake whose properties are unverified."""
+    """Parse the ksnake text format into a snake whose properties are unverified.
+
+    Malformed text raises ParseError, and a push outside 2..n raises
+    InvalidTransitionError when the snake is made.
+    """
     lines, _, (n, size) = _read(text, KIND_KSNAKE, "n", "size")
     if len(lines[0].split()) != 3:  # fields other than n and size
         raise ParseError(f"bad ksnake header: {lines[0]!r}")
-    return _parse_code(lines[1:], n, size, True, METRIC_KENDALL)
+    return GrayCode(n, *_parse_code(lines[1:], n, size, True), True, METRIC_KENDALL)
 
 
 def rmgc_chunks(r: RmgcSequence) -> Iterator[str]:
     """The text of an RMGC export, in chunks of whole lines."""
     yield f"rmgc n={r.n} len={len(r.seq)}\n"
-    yield from _token_chunks(_as_array(r.seq), _WRAP)
+    yield from _token_chunks(push_array(r.seq), _WRAP)
 
 
 def format_rmgc_document(r: RmgcSequence) -> str:

@@ -120,47 +120,58 @@ def apply_sequence(p: Perm, transitions: Sequence[int]) -> list[Perm]:
     return out
 
 
-def check_transitions(transitions: Sequence[int], n: int) -> None:
-    """Raise InvalidTransitionError naming the first index outside 2..n.
+def pack_pushes(pushes: Sequence[int], n: int) -> bytes | tuple[int, ...]:
+    """Pushes checked against 2..n and packed: bytes up to n = 255, else a tuple of ints.
 
-    ``bytes`` are bounded through a uint8 view: builtin ``min`` and ``max``
-    take an int per byte, 0.16 s against 0.4 ms for the 10! pushes of a
-    10-RMGC on a 2-core x86-64 VM.
+    Raises InvalidTransitionError naming the first push outside 2..n.
+    Bytes and arrays are bounded by numpy's ``min`` and ``max`` over a
+    view, with no int per push: 0.4 ms for the 10! pushes of a 10-RMGC on
+    a 2-core x86-64 VM, against 0.16 s by builtin ``min`` and ``max``.
+
+    >>> pack_pushes([3, 3, 2], 3)
+    b'\\x03\\x03\\x02'
+    >>> pack_pushes((3, 300), 300)
+    (3, 300)
     """
-    if isinstance(transitions, bytes):
-        values = np.frombuffer(transitions, dtype=np.uint8)
-        ok = 2 <= values.min(initial=2) and values.max(initial=min(n, 255)) <= n
-    else:
-        ok = 2 <= min(transitions, default=2) and max(transitions, default=n) <= n
-    if not ok:
-        bad = next(i for i in transitions if not 2 <= i <= n)
+    values = push_array(pushes)
+    if len(values) and not (2 <= values.min() and values.max() <= n):
+        # Named from pushes itself: ints past int64 may make values floats.
+        bad = pushes[np.flatnonzero((values < 2) | (values > n))[0]]
         raise InvalidTransitionError(f"transition index {bad} outside 2..{n}")
+    if n > 255:
+        return tuple(values.tolist())
+    return pushes if isinstance(pushes, bytes) else values.astype(np.uint8, copy=False).tobytes()
 
 
-def _walk(start: Perm, transitions: Sequence[int]) -> np.ndarray:
+def push_array(pushes: Sequence[int]) -> np.ndarray:
+    """Pushes as one array: a view of bytes or of an array, else a copy."""
+    if isinstance(pushes, bytes):
+        return np.frombuffer(pushes, dtype=np.uint8)
+    return np.asarray(pushes)
+
+
+def _walk(start: Perm, pushes: bytes | tuple[int, ...]) -> np.ndarray:
     """Every word a push-to-the-top walk visits, start first, as one integer array.
 
-    The rows are uint8 when n <= 255 and uint16 above that.  A push acts on
-    positions, so the m pushes are cut into about sqrt(m) chunks, and each
-    chunk's position map, relative to its first word, moves forward one
-    push per numpy gather in lockstep with the others, written straight
-    into the chunk's rows of the (m + 1, n) result.  Each chunk is then
-    relabelled by its first word, the last word of the chunk before.  No
-    Python object is made per word, and no temporary is larger than
-    O(sqrt(m) * n).
+    The pushes are packed ones, checked against 2..n when their code was
+    made, so the walk does not check them again.  The rows are the
+    narrowest unsigned type that holds n: uint8 up to n = 255, uint16 up
+    to 65,535, uint32 above.  A push acts on positions, so the m pushes
+    are cut into about sqrt(m) chunks, and each chunk's position map,
+    relative to its first word, moves forward one push per numpy gather
+    in lockstep with the others, written straight into the chunk's rows
+    of the (m + 1, n) result.  Each chunk is then relabelled by its first
+    word, the last word of the chunk before.  No Python object is made
+    per word, and no temporary is larger than O(sqrt(m) * n).
     """
     n = len(start)
-    check_transitions(transitions, n)
-    dtype = np.dtype(np.uint8 if n <= 255 else np.uint16)
-    m = len(transitions)
+    dtype = np.min_scalar_type(n)
+    m = len(pushes)
     chain = np.empty((m + 1, n), dtype=dtype)
     chain[0] = start
     if not m:
         return chain
-    if isinstance(transitions, bytes):
-        pushes = np.frombuffer(transitions, dtype=np.uint8)
-    else:
-        pushes = np.asarray(transitions)
+    pushes = push_array(pushes)
     step = math.isqrt(m - 1) + 1  # pushes per chunk, ceil(sqrt(m))
     chunks = -(-m // step)
     last = m - (chunks - 1) * step  # pushes in the last chunk
@@ -199,10 +210,12 @@ class GrayCode:
     of 1..n and the metric linf or kendall, or construction raises
     ValueError, so every codeword is a permutation.
 
-    ``start`` is kept as a tuple and ``pushes`` as bytes, one per push,
-    whatever sequences they are given as, so codes equal as sequences
-    compare and hash equal.  Pushes with a value outside 0..255 (n > 255,
-    or a bad push) stay a tuple, so the walk names the bad one.
+    ``start`` is kept as a tuple and ``pushes`` packed by
+    ``pack_pushes``: bytes, one per push, up to n = 255, and a tuple of
+    ints above, whatever sequence they are given as, so codes equal as
+    sequences compare and hash equal.  A push outside 2..n raises
+    InvalidTransitionError when the code is made, after the checks on
+    start and metric, so every code's pushes are valid.
     ``transitions`` is the pushes as a tuple of ints, built only when
     asked for; no construct, verify or write path asks.
 
@@ -228,17 +241,11 @@ class GrayCode:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "start", tuple(self.start))
-        if not isinstance(self.pushes, bytes):
-            pushes = tuple(self.pushes)
-            try:
-                pushes = bytes(pushes)
-            except (TypeError, ValueError):  # a value outside 0..255, or not an int
-                pass
-            object.__setattr__(self, "pushes", pushes)
         if len(self.start) != self.n or not is_perm(self.start):
             raise ValueError(f"start {list(self.start)} is not a permutation of 1..{self.n}")
         if self.metric_tag not in (METRIC_LINF, METRIC_KENDALL):
             raise ValueError(f"unknown metric {self.metric_tag!r}")
+        object.__setattr__(self, "pushes", pack_pushes(self.pushes, self.n))
 
     @property
     def size(self) -> int:

@@ -27,26 +27,31 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ._pairdist import _ranks
-from .perm import _walk, check_transitions, identity
+from .perm import _walk, identity, pack_pushes
 
 BASE_N = 3
 MAX_N = 10  # 10! = 3,628,800 transitions; larger sequences are refused
-_SEGMENT = 1 << 16  # pushes walked and ranked at a time by complete_and_cyclic
+# Pushes walked and ranked at a time by complete_and_cyclic.  Larger
+# segments make fewer numpy calls but take no less wall time, and they
+# raise the peak: verify of a 9-RMGC peaks at 34.6 MB in process with
+# 1 << 16, 40.3 MB with 1 << 18 and 43.6 MB with 1 << 20, above the
+# 36.4 MB of construct rmgc --n 10 that sets the peak of perfbench's
+# rmgc workload (10-RMGC: 67.7, 69.1 and 87.5 MB).
+_SEGMENT = 1 << 16
 
 
 @dataclass(frozen=True)
 class RmgcSequence:
     """A complete cyclic Gray-code transition sequence over S_n.
 
-    ``seq`` holds one byte per push, each in 2..n: a sequence of ints
-    is stored as bytes, and a push outside 2..n raises
-    InvalidTransitionError naming the first such push, after the checks
-    on n and on the length.
+    ``seq`` holds one byte per push, each in 2..n: any sequence of ints
+    is packed by ``pack_pushes``, as ``GrayCode`` packs its pushes, and a
+    push outside 2..n raises InvalidTransitionError naming the first
+    such push, after the checks on n and on the length.
     """
 
     n: int
@@ -61,8 +66,7 @@ class RmgcSequence:
                 f"RMGC for n={self.n} must have {math.factorial(self.n)} "
                 f"transitions, got {len(self.seq)}"
             )
-        check_transitions(self.seq, self.n)
-        object.__setattr__(self, "seq", bytes(self.seq))
+        object.__setattr__(self, "seq", pack_pushes(self.seq, self.n))
 
 
 def base_t3() -> RmgcSequence:
@@ -108,20 +112,18 @@ def special_positions(r: RmgcSequence) -> tuple[int, int, int]:
     return (r.n, r.n * r.n - r.n, 1)
 
 
-def rotate_after(r: RmgcSequence | Sequence[int], s: int) -> bytes | tuple[int, ...]:
-    """Cyclic rotation placing the element at 1-based position s last.
+def rotate_after(r: RmgcSequence, s: int) -> bytes:
+    """Cyclic rotation of r's pushes placing the one at 1-based position s last.
 
     A rotation of a complete cyclic sequence is still complete and cyclic;
-    the last transition determines the shape of the end permutation.  An
-    RmgcSequence rotates as its bytes; any other sequence as a tuple.
+    the last transition determines the shape of the end permutation.
 
-    >>> rotate_after((3, 3, 2, 3, 3, 2), 1)
-    (3, 2, 3, 3, 2, 3)
+    >>> rotate_after(base_t3(), 1)
+    b'\\x03\\x02\\x03\\x03\\x02\\x03'
     """
-    seq = r.seq if isinstance(r, RmgcSequence) else tuple(r)
-    if not 1 <= s <= len(seq):
-        raise ValueError(f"rotation point {s} outside 1..{len(seq)}")
-    return seq[s:] + seq[:s]
+    if not 1 <= s <= len(r.seq):
+        raise ValueError(f"rotation point {s} outside 1..{len(r.seq)}")
+    return r.seq[s:] + r.seq[:s]
 
 
 def complete_and_cyclic(r: RmgcSequence) -> tuple[bool, bool]:

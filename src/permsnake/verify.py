@@ -95,9 +95,9 @@ def verify_code(code: GrayCode) -> SnakeReport:
 
     Duplicates, a failed or missing closure (an empty cyclic code) and
     close pairs are reported, not raised.  A transition outside 2..n does
-    not describe a code: it raises InvalidTransitionError while the
-    codewords are derived.  The exact certificate runs over all m(m-1)/2
-    pairs, and the report says mode=exhaustive.
+    not describe a code: ``GrayCode`` raises InvalidTransitionError when
+    the code is made, so none reaches here.  The exact certificate runs
+    over all m(m-1)/2 pairs, and the report says mode=exhaustive.
     """
     codewords = code._codewords
     m = len(codewords)

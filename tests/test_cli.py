@@ -8,6 +8,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,9 @@ from permsnake.documents import (
     parse_document,
 )
 from permsnake.ksnake import embedded_a5_snake, format_ksnake
+from permsnake.perm import METRIC_LINF, GrayCode, identity
 from permsnake.rmgc import build_rmgc
+from permsnake.verify import verify_code
 
 from golden_rows import FIG1_ROWS, FIG2_ROWS, FIG4_START
 
@@ -303,6 +306,53 @@ def test_verify_names_the_first_push_outside_the_range(tmp_path, capsys, body, m
     path = tmp_path / "bad.rmgc"
     path.write_text(f"rmgc {body}\n", encoding="utf-8")
     assert run(capsys, "verify", str(path)) == (2, "", f"error: {message}\n")
+
+
+_HEAD3 = "snake n=3 size=3 metric=linf cyclic=true method=x\n1 2 3\n"
+_START300 = " ".join(map(str, range(1, 301)))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_HEAD3 + "3 4 3\n", "transition index 4 outside 2..3"),
+        (_HEAD3 + "3 3 0\n", "transition index 0 outside 2..3"),
+        (_HEAD3 + "1 3 2\n", "transition index 1 outside 2..3"),
+        (_HEAD3 + "3 -2 2\n", "transition index -2 outside 2..3"),
+        (_HEAD3 + "t3 t9 t2\n", "transition index 9 outside 2..3"),
+        (_HEAD3 + "3 3 256\n", "transition index 256 outside 2..3"),
+        (_HEAD3 + "3 100000000000000000000 2\n", "transition index 100000000000000000000 outside 2..3"),
+        (_HEAD3 + "3 -2 10000000000000000000\n", "transition index -2 outside 2..3"),
+        (f"snake n=300 size=2 metric=linf cyclic=true method=x\n{_START300}\n300 301\n",
+         "transition index 301 outside 2..300"),
+        ("ksnake n=3 size=3\n1 2 3\n3 1 3\n", "transition index 1 outside 2..3"),
+        ("ksnake n=3 size=3\n1 2 3\nt3 t3 t4\n", "transition index 4 outside 2..3"),
+        ("ksnake n=5 size=2\n1 2 3 4 5\n5 123456789012345678901\n",
+         "transition index 123456789012345678901 outside 2..5"),
+        ("ksnake n=1 size=1\n1\n2\n", "transition index 2 outside 2..1"),
+        # A malformed listing line is named before a bad push.
+        (_HEAD3 + "3 4 3\ncodewords:\n1 2 3\n1 x 2\n", "bad permutation text '1 x 2'"),
+    ],
+)
+def test_verify_and_import_name_the_first_bad_push_of_a_snake(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    commands = ("verify", "import-ksnake") if text.startswith("ksnake") else ("verify",)
+    for command in commands:
+        assert run(capsys, command, str(path)) == (2, "", f"error: {message}\n"), command
+
+
+def test_verify_a_one_word_snake_over_65536_symbols(tmp_path, capsys):
+    n = 65536
+    code = GrayCode(n, identity(n), (), False, METRIC_LINF)
+    assert code._codewords.dtype == np.uint32
+    assert verify_code(code).valid
+    path = tmp_path / "wide.txt"
+    path.write_text(format_document(CodeDocument(code, "x")), encoding="utf-8")
+    # The packing bound has over 4,300 digits, which int-to-str refuses.
+    rc, stdout, stderr = run(capsys, "verify", str(path))
+    assert (rc, stdout) == (2, "")
+    assert stderr.startswith("error: Exceeds the limit") and len(stderr.splitlines()) == 1
 
 
 def test_verify_applies_the_ksnake_coset_rule(tmp_path, capsys):

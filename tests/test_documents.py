@@ -185,9 +185,9 @@ def test_rmgc_document_round_trip_property(r):
 @st.composite
 def ksnakes(draw):
     """Cyclic Kendall-tagged codes as the ksnake format holds them, unverified."""
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(2, 8))  # no push is valid at n = 1
     start = tuple(draw(st.permutations(range(1, n + 1))))
-    transitions = draw(st.lists(st.integers(2, max(2, n)), min_size=1, max_size=70))
+    transitions = draw(st.lists(st.integers(2, n), min_size=1, max_size=70))
     return GrayCode(n, start, tuple(transitions), True, "kendall")
 
 

@@ -1,7 +1,9 @@
 import doctest
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
 from permsnake import perm
@@ -19,6 +21,7 @@ from permsnake.perm import (
     parse_transitions,
     format_perm,
 )
+from permsnake.rmgc import RmgcSequence
 
 from golden_rows import FIG1_ROWS, FIG1_TRANSITIONS, FIG2_ROWS, FIG2_TRANSITIONS
 
@@ -221,6 +224,7 @@ def test_lockstep_walk_matches_apply_sequence(n, m):
 
 @pytest.mark.parametrize("n", [3, 12, 300])
 def test_walk_names_the_first_bad_push(n):
+    """A code with a push outside 2..n is refused when it is made, so no walk sees one."""
     for bad in (1, n + 1, 0, -2, 256):
         if 2 <= bad <= n:
             continue  # 256 is a push at n = 300
@@ -229,6 +233,43 @@ def test_walk_names_the_first_bad_push(n):
         inputs = [pushes, bytes(pushes)] if 0 <= bad <= 255 and n <= 255 else [pushes]
         for given in inputs:
             with pytest.raises(InvalidTransitionError, match=message):
-                perm._walk(identity(n), given)
+                perm.pack_pushes(given, n)
             with pytest.raises(InvalidTransitionError, match=message):
-                perm.GrayCode(n, identity(n), given, True, perm.METRIC_LINF)._chain
+                perm.GrayCode(n, identity(n), given, True, perm.METRIC_LINF)
+
+
+def push_forms(pushes):
+    """The same pushes as a list, a tuple, bytes, a uint8 array and an int64 array."""
+    return [list(pushes), tuple(pushes), bytes(pushes), np.array(pushes, dtype=np.uint8),
+            np.array(pushes, dtype=np.int64)]
+
+
+@pytest.mark.parametrize("n", [3, 255, 256, 300])
+def test_pushes_pack_alike_whatever_sequence_they_come_as(n):
+    rng = random.Random(n)
+    start = random_perm(rng, n)
+    pushes = [rng.randint(2, min(n, 255)) for _ in range(40)]
+    codes = {perm.GrayCode(n, start, given, True, perm.METRIC_LINF) for given in push_forms(pushes)}
+    assert len(codes) == 1
+    (code,) = codes
+    assert code.pushes == (bytes(pushes) if n <= 255 else tuple(pushes))
+    assert code._chain.tolist() == [list(p) for p in apply_sequence(start, pushes)]
+    at_n = [n] * 3 + pushes  # above 255 only a tuple or an int64 array holds n
+    assert perm.pack_pushes(at_n, n) == perm.pack_pushes(np.array(at_n), n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_gray_code_and_rmgc_name_the_same_first_bad_push(n):
+    size = math.factorial(n)
+    for bad in (1, n + 1, 0, -2, 256):
+        pushes = [n] * (size - 4) + [2, bad, 3, 0]
+        expected = f"transition index {bad} outside 2..{n}"
+        forms = push_forms(pushes) if 0 <= bad <= 255 else [pushes, tuple(pushes), np.array(pushes)]
+        for given in forms:
+            for make in (
+                lambda: perm.GrayCode(n, identity(n), given, True, perm.METRIC_LINF),
+                lambda: RmgcSequence(n, given),
+            ):
+                with pytest.raises(InvalidTransitionError) as raised:
+                    make()
+                assert str(raised.value) == expected
