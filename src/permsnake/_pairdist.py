@@ -12,8 +12,7 @@ all m(m-1)/2 pairs.  It takes the codewords as one (m, n) array.
   int64 for every n <= 20.  The ranks are sorted once (stably), and
   equal-rank runs are the distance-0 pairs; the first repeated codeword
   is read off them too.  The certificate keeps only the sort order
-  (int32) and the sorted ranks, 12 bytes per codeword; a codeword's rank
-  is read at its position in the sorted ranks.
+  (int32) and the sorted ranks, 12 bytes per codeword.
 - Swapping the values v and v+1 of a key changes exactly one Lehmer
   digit, the one at the smaller of their two positions a, by +1 when v
   comes first and -1 otherwise: a rank step of ±(n-1-a)!.
@@ -22,17 +21,12 @@ all m(m-1)/2 pairs.  It takes the codewords as one (m, n) array.
   neighbours (F the Fibonacci numbers), each rank the sum of its steps.
 - Kendall: a swap of adjacent positions in p is a swap of adjacent
   values in p⁻¹, so the n - 1 neighbours are single steps of p⁻¹.
-- One walk looks every neighbour rank up, each pair once from its
-  smaller rank.  A hit is a distance-1 pair, and the walk marks both of
-  its codewords as near, as it marks every codeword of an equal-rank
-  run.  A neighbour's steps change distinct Lehmer digits by ±1 each,
-  so the leading digit moves by at most one: the larger rank of a pair
-  lies in the slab (the (n-1)! ranks of one leading digit) of the
-  smaller or the next.  Up to n = 13 the lookup is one gather from a
-  window, a bitmap of the codeword ranks in two slabs, 2·(n-1)! bits
-  (10 MB at n = 12, 120 MB at n = 13), reused as the sorted codewords
-  are taken slab by slab.  For 14 <= n <= 20 a window would take 1.6 GB
-  or more, so the lookup is a ``searchsorted`` in the sorted ranks.
+- One walk marks both codewords of each distance-1 pair and equal-rank
+  run as near.  Slab s holds the ranks whose key leads with the value
+  s.  Only pairs s-1 and s move that value, so a pair inside slab s
+  swaps neither, and one across the edge of slabs s and s+1 swaps pair
+  s.  Up to n = 13 one reused bitmap of a slab, (n-1)! bits (60 MB at
+  n = 13), answers the lookups; for 14 <= n <= 20 a ``searchsorted``.
 
 Both codewords of every close pair are near, so the first VIOLATION_CAP
 close pairs are listed from the first 2·VIOLATION_CAP near codewords by
@@ -174,41 +168,43 @@ def _ranks(p: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _ball(rows: np.ndarray, k: np.ndarray, kendall: bool) -> Iterator[np.ndarray]:
+def _ball(rows: np.ndarray, k: np.ndarray, kendall: bool, avoid=(), lead=None) -> Iterator[np.ndarray]:
     """The neighbour ranks of each codeword's radius-1 ball, one array per neighbour.
 
-    rows are (m, n) codewords and k the ranks of their keys; the inverses
-    of the keys are computed here.  Row v of the steps is the rank step
-    of swapping the values v and v+1: ±(n-1-a)! with a the smaller of
-    their positions, + when v comes first.  Chebyshev neighbours take the
-    steps of every nonempty matching, Kendall neighbours one step each.
+    rows are (m, n) codewords and k the ranks of their keys.  Row v of
+    the steps is the rank step of swapping the values v and v+1 (pair
+    v): ±(n-1-a)! with a the smaller of their positions, + when v comes
+    first.  Chebyshev neighbours take the steps of every nonempty
+    matching, Kendall neighbours one step each.  No neighbour swaps a
+    pair in avoid; each swaps the lead pair, if given.
     """
     inv = _keys(rows, kendall)[1]
     first, second = inv[:-1], inv[1:]
     step = _FACT[len(inv) - 1 - np.minimum(first, second)]
     step = np.where(first < second, step, -step)
-    return (k + s for s in step) if kendall else _matchings(step, k, 0)
+    if lead is not None:
+        k = k + step[lead]
+        yield k
+        avoid = range(len(step)) if kendall else (lead - 1, lead, lead + 1)
+    free = [v for v in range(len(step)) if v not in avoid]
+    yield from (k + step[v] for v in free) if kendall else _matchings(step, k, free)
 
 
-def _matchings(step: np.ndarray, k: np.ndarray, lowest: int) -> Iterator[np.ndarray]:
-    """k plus each nonempty sum of step rows >= lowest, no two adjacent."""
-    for v in range(lowest, len(step)):
+def _matchings(step: np.ndarray, k: np.ndarray, free: list) -> Iterator[np.ndarray]:
+    """k plus each nonempty sum of the step rows in free, no two adjacent."""
+    for i, v in enumerate(free):
         grown = k + step[v]
         yield grown
-        yield from _matchings(step, grown, v + 2)
+        yield from _matchings(step, grown, [u for u in free[i + 1 :] if u > v + 1])
 
 
 def _near(arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, kendall: bool) -> np.ndarray:
     """The sorted positions, in rank order, of every codeword within distance 1 of another.
 
-    Every codeword of an equal-rank run is marked first.  Then codewords
-    are taken in rank order, so the probes of one batch land near one
-    another in the window or the sorted ranks.  Up to n = 13, for each slab
-    s one reused window holds slabs s and s+1 (none past n!), and the
-    codewords of slab s probe it.  A probe that hits marks the probing
-    codeword and its partner.  The walk never stops early.  A valid code
-    marks nothing, so the m flags, at most m bytes whatever the number of
-    close pairs, are made only at the first mark.
+    Equal-rank runs are marked first.  Pass s looks up neighbours in
+    slab s: its own, and across each edge those of the smaller slab.  A
+    hit marks both codewords; the walk never stops early.  A valid code
+    marks nothing, so the m flags are made only at the first mark.
     """
     near: np.ndarray | None = None
 
@@ -218,14 +214,14 @@ def _near(arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, kendall: bool)
             near = np.zeros(len(sranks), dtype=bool)
         near[positions] = True
 
-    def probe(c0: int, c1: int, lo: int, member: Callable[[np.ndarray], np.ndarray]) -> None:
-        # Sorted codewords [c0, c1) probe with their ranks less lo.
+    def probe(c0: int, c1: int, **ball: object) -> None:
+        # Sorted codewords [c0, c1) probe slab s, ranks less lo.
         for b0 in range(c0, c1, _CHUNK):
             b1 = min(b0 + _CHUNK, c1)
             k = sranks[b0:b1] - lo
-            for q in _ball(arr[order[b0:b1]], k, kendall):
-                # Balls are symmetric: look each pair up once, from its smaller rank.
-                up = q > k
+            for q in _ball(arr[order[b0:b1]], k, kendall, **ball):
+                # Each pair once: inside a slab from its smaller rank.
+                up = (q > k) | ("lead" in ball)
                 hit = member(q[up])
                 if hit.any():
                     at = np.flatnonzero(up)[hit != 0]
@@ -236,17 +232,25 @@ def _near(arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, kendall: bool)
     if len(repeats):
         mark(np.concatenate([repeats, repeats + 1]))
     n = arr.shape[1]
-    if n > _BITMAP_N:
-        last = len(sranks) - 1
-        probe(0, len(sranks), 0, lambda q: sranks[np.minimum(np.searchsorted(sranks, q), last)] == q)
-    else:
-        slab = math.factorial(n - 1)
-        bits = np.zeros(-(-2 * slab // 8), dtype=np.uint8)
-        edges = np.searchsorted(sranks, slab * np.arange(n + 2))  # first codeword of each slab
-        for s in range(n):
-            held = sranks[edges[s] : edges[s + 2]] - s * slab
+    slab = math.factorial(n - 1)
+    bits = np.zeros(-(-slab // 8) if n <= _BITMAP_N else 0, dtype=np.uint8)
+    edges = np.searchsorted(sranks, slab * np.arange(n + 1))  # first codeword of each slab
+    size = np.diff(edges)
+    for s in np.flatnonzero(size).tolist():
+        lo = s * slab
+        held = sranks[edges[s] : edges[s + 1]] - lo
+        if len(bits):
             np.bitwise_or.at(bits, held >> 3, _BIT[held & 7])
-            probe(edges[s], edges[s + 1], s * slab, lambda q: bits[q >> 3] & _BIT[q & 7])
+            member = lambda x: bits[x >> 3] & _BIT[x & 7]
+        else:
+            member = lambda x: held[np.minimum(np.searchsorted(held, x), len(held) - 1)] == x
+        probe(edges[s], edges[s + 1], avoid=(s - 1, s))
+        # Across each edge, from the smaller slab.
+        if s and size[s - 1] <= size[s]:
+            probe(edges[s - 1], edges[s], lead=s - 1)
+        if s < n - 1 and size[s + 1] < size[s]:
+            probe(edges[s + 1], edges[s + 2], lead=s)
+        if len(bits):
             bits[held >> 3] = 0
     return np.flatnonzero(near) if near is not None else np.empty(0, dtype=np.int64)
 

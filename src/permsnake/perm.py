@@ -162,7 +162,8 @@ def _walk(start: Perm, pushes: bytes | tuple[int, ...]) -> np.ndarray:
     in lockstep with the others, written straight into the chunk's rows
     of the (m + 1, n) result.  Each chunk is then relabelled by its first
     word, the last word of the chunk before.  No Python object is made
-    per word, and no temporary is larger than O(sqrt(m) * n).
+    per word, and no temporary but the move table, at most (m + 1) * n,
+    is larger than O(sqrt(m) * n).
     """
     n = len(start)
     dtype = np.min_scalar_type(n)
@@ -175,10 +176,14 @@ def _walk(start: Perm, pushes: bytes | tuple[int, ...]) -> np.ndarray:
     step = math.isqrt(m - 1) + 1  # pushes per chunk, ceil(sqrt(m))
     chunks = -(-m // step)
     last = m - (chunks - 1) * step  # pushes in the last chunk
-    # moves[i][k]: the position whose value lands at position k under t_i
-    moves = np.tile(np.arange(n), (n + 1, 1))
-    for i in range(2, n + 1):
-        moves[i, :i] = np.roll(moves[i, :i], 1)
+    # moves[r][k]: the position whose value lands at position k under push
+    # values[r]; below n pushes, rows only for the values that occur
+    values = range(n + 1)
+    if m < n:
+        values, pushes = np.unique(pushes, return_inverse=True)
+    moves = np.tile(np.arange(n), (len(values), 1))
+    for r, i in enumerate(values):
+        moves[r, :i] = np.roll(moves[r, :i], 1)
     offsets = np.arange(chunks)[:, None] * n  # each chunk's row in the flat maps
     maps = np.tile(np.arange(n, dtype=dtype), (chunks, 1))
     for t in range(step):

@@ -63,7 +63,7 @@ class SnakeReport:
         min_d = "na" if self.min_distance is None else str(self.min_distance)
         return (
             f"valid={str(self.valid).lower()} size={self.size} min_d={min_d} "
-            f"metric={self.metric_tag} bound={self.bound} mode={self.mode}"
+            f"metric={self.metric_tag} bound={_decimal(self.bound)} mode={self.mode}"
         )
 
     def render(self) -> str:
@@ -73,13 +73,22 @@ class SnakeReport:
             f"cyclic:       {'n/a' if self.cyclic_ok is None else self.cyclic_ok}",
             f"min distance: {'n/a' if self.min_distance is None else self.min_distance}"
             f" ({self.metric_tag})",
-            f"size bound:   {self.bound}",
+            f"size bound:   {_decimal(self.bound)}",
             f"mode:         {self.mode} ({self.pairs_checked} pairs)",
             f"verdict:      {'VALID' if self.valid else 'INVALID'}",
         ]
         for (i, j), d in self.violations:
             lines.append(f"violation:    codewords {i} and {j} at distance {d}")
         return "\n".join(lines)
+
+
+def _decimal(x: int) -> str:
+    """x >= 0 in decimal, 1,000 digits at a time: str() refuses ints of over 4,300."""
+    chunks = []
+    while x >= 10**1000:
+        x, low = divmod(x, 10**1000)
+        chunks.append(f"{low:01000d}")
+    return str(x) + "".join(reversed(chunks))
 
 
 def _metric_bound(n: int, metric_tag: str) -> int:

@@ -1,4 +1,6 @@
 import contextlib
+import decimal
+import hashlib
 import io
 import math
 import os
@@ -342,17 +344,46 @@ def test_verify_and_import_name_the_first_bad_push_of_a_snake(tmp_path, capsys, 
         assert run(capsys, command, str(path)) == (2, "", f"error: {message}\n"), command
 
 
+def verify_one_word(tmp_path, capsys, n):
+    """verify of a valid one-word snake document at n: exit code, the bound it prints, stderr."""
+    path = tmp_path / "wide.txt"
+    code = GrayCode(n, identity(n), (), False, METRIC_LINF)
+    path.write_text(format_document(CodeDocument(code, "x")), encoding="utf-8")
+    rc, stdout, stderr = run(capsys, "verify", str(path))
+    head, tail = "valid=true size=1 min_d=na metric=linf bound=", " mode=exhaustive\n"
+    last = stdout.splitlines(keepends=True)[-1]
+    assert last.startswith(head) and last.endswith(tail)
+    bound = last[len(head) : -len(tail)]
+    assert f"size bound:   {bound}\n" in stdout
+    return rc, bound, stderr
+
+
 def test_verify_a_one_word_snake_over_65536_symbols(tmp_path, capsys):
     n = 65536
     code = GrayCode(n, identity(n), (), False, METRIC_LINF)
     assert code._codewords.dtype == np.uint32
     assert verify_code(code).valid
-    path = tmp_path / "wide.txt"
-    path.write_text(format_document(CodeDocument(code, "x")), encoding="utf-8")
-    # The packing bound has over 4,300 digits, which int-to-str refuses.
-    rc, stdout, stderr = run(capsys, "verify", str(path))
-    assert (rc, stdout) == (2, "")
-    assert stderr.startswith("error: Exceeds the limit") and len(stderr.splitlines()) == 1
+    # The packing bound has 277,330 digits, far past int-to-str's 4,300.
+    rc, bound, stderr = verify_one_word(tmp_path, capsys, n)
+    assert (rc, stderr, len(bound)) == (0, "", 277_330)
+    assert hashlib.sha256(bound.encode()).hexdigest() == (
+        "5f5ae2694d5076b9685185773e465b8f4946d1dd894d356cfb069adfee89abfe"
+    )
+
+
+@pytest.mark.parametrize(
+    "n, digits, sha256",
+    [
+        (1700, 4500, "d805d6c45bdd3671dddbb34718b870dcf43a4c3f9a54dcbeddf0a813703bc71f"),
+        (2000, 5435, "6d4a8905b417deea1314d712f9cc775b7d6a2807d4aa2eb2afba7d7da9ddc302"),
+    ],
+)
+def test_verify_prints_a_bound_of_more_than_4300_digits(tmp_path, capsys, n, digits, sha256):
+    rc, bound, stderr = verify_one_word(tmp_path, capsys, n)
+    assert (rc, stderr) == (0, "")
+    # The decimal module converts the int without int-to-str's limit.
+    assert bound == str(decimal.Decimal(math.factorial(n) // 2 ** (n // 2)))
+    assert (len(bound), hashlib.sha256(bound.encode()).hexdigest()) == (digits, sha256)
 
 
 def test_verify_applies_the_ksnake_coset_rule(tmp_path, capsys):

@@ -2,6 +2,7 @@ import doctest
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,23 @@ def test_lockstep_walk_matches_apply_sequence(n, m):
         assert chain.tolist() == expected
         code = perm.GrayCode(n, start, given, False, perm.METRIC_LINF)
         assert list(code.end) == chain[-1].tolist()
+
+
+def test_walk_of_three_pushes_over_65536_symbols():
+    """The move table holds a row per push value that occurs, not n + 1 rows of n."""
+    n = 65536
+    start = random_perm(random.Random(n), n)
+    pushes = (n, 2, n)
+    tracemalloc.start()
+    try:
+        chain = perm._walk(start, pushes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chain.dtype == np.uint32
+    assert chain.tolist() == [list(p) for p in apply_sequence(start, pushes)]
+    # The chain is 1 MB; a table of n + 1 int64 rows of n would be 34.4 GB.
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("n", [3, 12, 300])

@@ -1,16 +1,20 @@
 """The ball certificate's rank lookup at its slab edges.
 
-A slab is the (n-1)! ranks of one leading Lehmer digit.  Up to n = 13
-the certificate looks ranks up in a window of two slabs; for n = 14 and
-n = 20 it binary-searches the sorted ranks, and at n = 20 the last slab
-holds ranks next to 20! - 1, the top of what an int64 rank holds.  Each
-code here holds exactly one pair at distance 1, planted across a slab
-edge, inside slab 0 or inside the last slab, under either metric.  The ball
-walk must mark exactly the first and the last codeword as near, must mark
-none once the partner is dropped, and the certificate must equal the
-pairwise scan.
+Slab s is the (n-1)! ranks whose key leads with the 0-based value s.
+Up to n = 13 the certificate looks ranks up in a window of one slab;
+for n = 14 and n = 20 it binary-searches the slab's ranks, and at n = 20
+the last slab holds ranks next to 20! - 1, the top of what an int64 rank
+holds.  A pair across the edge of slabs s and s+1 swaps pair s, and
+is looked up from whichever of the two slabs holds fewer codewords.
+Each code here holds exactly one pair at distance 1, planted across a
+slab edge, inside slab 0 or inside the last slab, under either metric,
+or across each edge in turn, with either side of the edge the larger.
+The ball walk must mark exactly the first and the last codeword as
+near, must mark none once the partner is dropped, and the certificate
+must equal the pairwise scan.
 """
 import math
+import random
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from permsnake._pairdist import (
     min_pairwise_kendall,
     min_pairwise_linf,
 )
-from permsnake.perm import METRIC_KENDALL, METRIC_LINF, GrayCode
+from permsnake.perm import METRIC_KENDALL, METRIC_LINF, GrayCode, inverse, kendall_distance, linf_distance
 
 
 def route(p, target):
@@ -89,10 +93,15 @@ def test_window_finds_the_planted_pair(n, metric, case):
     code = planted(n, metric, case)
     arr = code._codewords
     kendall = metric == METRIC_KENDALL
-    m = len(arr)
     slabs = (_ranks(_keys(arr[[0, -1]], kendall)[0]) // math.factorial(n - 1)).tolist()
     assert slabs == {"edge": [5, 6] if not kendall else [1, 0], "slab 0": [0, 0], "last slab": [n - 1] * 2}[case]
 
+    assert_one_close_pair(arr, kendall)
+
+
+def assert_one_close_pair(arr, kendall):
+    """The first and last codewords are the one pair at distance 1, and every check says so."""
+    m = len(arr)
     x = _order_bitmaps(arr) if kendall else arr
     dist = _kendall_dist if kendall else _linf_dist
     best, violations = _pairwise_scan(x, dist)
@@ -104,3 +113,55 @@ def test_window_finds_the_planted_pair(n, metric, case):
     # Without the partner no pair is close, and the walk marks nothing.
     assert _pairwise_scan(x[:-1], dist)[0] >= 2
     assert window_hit(arr[:-1], kendall) == set()
+
+
+def across_edge(n, metric, s):
+    """A noncyclic code from p in slab s to its partner q in slab s+1.
+
+    Chebyshev: p leads with the value s+1, and q swaps pair s (the values
+    s+1 and s+2) and one more pair, three values away.  Kendall: p holds
+    the value 1 at 0-based position s, and q swaps positions s and s+1.
+    """
+    values = range(1, n + 1)
+    if metric == METRIC_LINF:
+        p = (s + 1, *(v for v in values if v != s + 1))
+        q = swap_values(swap_values(p, s + 1), s + 4 if s + 4 < n else s - 2)
+    else:
+        p = (*values[1 : s + 1], 1, *values[s + 1 :])
+        q = swap_positions(p, s)
+    return GrayCode(n, p, route(p, q), False, metric)
+
+
+def with_filler(arr, kendall, slab, rng, count=3):
+    """arr with count more codewords keyed into slab, each at distance >= 2 from every other.
+
+    They go before the last codeword, so the first and the last stay the
+    planted pair.
+    """
+    n = arr.shape[1]
+    dist = kendall_distance if kendall else linf_distance
+    rows = [tuple(r) for r in arr.tolist()]
+    filler = []
+    while len(filler) < count:
+        key = (slab + 1, *rng.sample([v for v in range(1, n + 1) if v != slab + 1], n - 1))
+        row = inverse(key) if kendall else key
+        if all(dist(row, other) >= 2 for other in rows + filler):
+            filler.append(row)
+    return np.array(rows[:-1] + filler + rows[-1:], dtype=arr.dtype)
+
+
+@pytest.mark.parametrize("metric", [METRIC_LINF, METRIC_KENDALL])
+@pytest.mark.parametrize("n", [9, 12, 13, 14])
+def test_window_finds_a_pair_across_every_slab_edge(n, metric):
+    kendall = metric == METRIC_KENDALL
+    rng = random.Random(n)
+    for s in range(n - 1):
+        code = across_edge(n, metric, s)._codewords
+        slabs = _ranks(_keys(code[[0, -1]], kendall)[0]) // math.factorial(n - 1)
+        assert slabs.tolist() == [s, s + 1]
+        # Fill either side of the edge, so that each side is the larger once.
+        for larger in (s, s + 1):
+            arr = with_filler(code, kendall, larger, rng)
+            held = np.bincount(_ranks(_keys(arr, kendall)[0]) // math.factorial(n - 1), minlength=n)
+            assert held[larger] > held[2 * s + 1 - larger]
+            assert_one_close_pair(arr, kendall)

@@ -9,6 +9,8 @@ distance 1 from p, and its Kendall ball must be the ranks of q⁻¹ for the
 q at Kendall distance 1, each neighbour listed once.  At n = 20, where
 ranks reach 20! - 1, the ranks and balls of three rows are checked
 against Lehmer ranks in Python ints of the explicitly swapped rows.
+The certificate splits each ball by slab; the parts must make up the
+whole ball and land in the slabs that the split claims.
 """
 import itertools
 import math
@@ -133,3 +135,41 @@ def test_ranks_and_balls_at_n20_against_python_ints():
             q[a], q[a + 1] = q[a + 1], q[a]
             kendall_ball.append(lehmer(inverse(q)))
         assert kendall_balls[r] == sorted(kendall_ball)
+
+
+def slab_rows(rng, n, s, kendall_metric, count=4):
+    """Random codewords whose key (p, or p⁻¹ under Kendall) leads with the 0-based value s."""
+    rows = []
+    for _ in range(count):
+        key = tuple(v + 1 for v in [s, *rng.sample([v for v in range(n) if v != s], n - 1)])
+        rows.append(inverse(key) if kendall_metric else key)
+    return np.array(rows, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("kendall_metric", [False, True])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 13, 14, 20])
+def test_slab_split_of_the_ball(n, kendall_metric):
+    """A ball is its steps inside the slab plus those that swap the pair up or down out of it.
+
+    Slab s holds the keys that lead with the value s.  Only pair s-1
+    (values s-1 and s) and pair s move that value, so the neighbours that
+    swap neither stay in slab s, those that swap pair s land in slab s+1,
+    and those that swap pair s-1 in slab s-1.
+    """
+    rng = random.Random(100 * n + kendall_metric)
+    slab = math.factorial(n - 1)
+    for s in range(n):
+        rows = slab_rows(rng, n, s, kendall_metric)
+        k = _ranks(_keys(rows, kendall_metric)[0])
+        assert (k // slab == s).all()
+
+        def ball(**split):
+            return np.array(list(_ball(rows, k, kendall_metric, **split))).reshape(-1, len(rows))
+
+        inside = ball(avoid=(s - 1, s))
+        up = ball(lead=s) if s < n - 1 else inside[:0]
+        down = ball(lead=s - 1) if s else inside[:0]
+        for q, to in ((inside, s), (up, s + 1), (down, s - 1)):
+            assert (q // slab == to).all()
+        split_ball = np.sort(np.concatenate([inside, up, down]), axis=0)
+        assert split_ball.tolist() == np.sort(ball(), axis=0).tolist()
