@@ -25,8 +25,8 @@ all m(m-1)/2 pairs.  It takes the codewords as one (m, n) array.
   run as near.  Slab s holds the ranks whose key leads with the value
   s.  Only pairs s-1 and s move that value, so a pair inside slab s
   swaps neither, and one across the edge of slabs s and s+1 swaps pair
-  s.  Up to n = 13 one reused bitmap of a slab, (n-1)! bits (60 MB at
-  n = 13), answers the lookups; for 14 <= n <= 20 a ``searchsorted``.
+  s.  Up to n = 13 the walk looks slab by slab in one reused bitmap,
+  (n-1)! bits (60 MB at n = 13); above, one pass in all sorted ranks.
 
 Both codewords of every close pair are near, so the first VIOLATION_CAP
 close pairs are listed from the first 2·VIOLATION_CAP near codewords by
@@ -102,15 +102,15 @@ def _certify(codewords: np.ndarray, kendall: bool) -> Certificate:
     ranked = arr.shape[1] <= _MAX_RANK_N
     if ranked:
         order, sranks = _sorted_ranks(arr, kendall)
-        near = _near(arr, order, sranks, kendall)
+        runs = np.flatnonzero(sranks[1:] == sranks[:-1])
+        near = _near(arr, order, sranks, runs, kendall)
         if len(near):
             violations = _close_pairs(arr, order, sranks, near, kendall)
-            repeats = np.flatnonzero(sranks[1:] == sranks[:-1])
-            if not len(repeats):
+            if not len(runs):
                 return Certificate(1, violations, pairs)
             # Equal-rank runs keep index order, so the smallest repeating index
             # is the second of its run, right after its first occurrence.
-            t = int(repeats[np.argmin(order[repeats + 1])])
+            t = int(runs[np.argmin(order[runs + 1])])
             duplicate = (int(order[t]), int(order[t + 1]))
             return Certificate(0, _repeat_first(duplicate, violations), pairs)
     x, dist = (_order_bitmaps(arr), _kendall_dist) if kendall else (arr, _linf_dist)
@@ -198,13 +198,15 @@ def _matchings(step: np.ndarray, k: np.ndarray, free: list) -> Iterator[np.ndarr
         yield from _matchings(step, grown, [u for u in free[i + 1 :] if u > v + 1])
 
 
-def _near(arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, kendall: bool) -> np.ndarray:
+def _near(
+    arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, runs: np.ndarray, kendall: bool
+) -> np.ndarray:
     """The sorted positions, in rank order, of every codeword within distance 1 of another.
 
-    Equal-rank runs are marked first.  Pass s looks up neighbours in
-    slab s: its own, and across each edge those of the smaller slab.  A
-    hit marks both codewords; the walk never stops early.  A valid code
-    marks nothing, so the m flags are made only at the first mark.
+    Up to n = 13 pass s looks up neighbours in slab s: its own, and
+    across each edge those of the smaller slab; above, one pass looks up
+    whole balls.  The walk never stops early; a valid code marks
+    nothing, so the m flags are made only at the first mark.
     """
     near: np.ndarray | None = None
 
@@ -214,43 +216,41 @@ def _near(arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, kendall: bool)
             near = np.zeros(len(sranks), dtype=bool)
         near[positions] = True
 
-    def probe(c0: int, c1: int, **ball: object) -> None:
-        # Sorted codewords [c0, c1) probe slab s, ranks less lo.
+    def probe(c0: int, c1: int, lo: int, member: Callable, avoid=(), lead=None) -> None:
+        # Sorted codewords [c0, c1) probe with their ranks less lo.
         for b0 in range(c0, c1, _CHUNK):
             b1 = min(b0 + _CHUNK, c1)
             k = sranks[b0:b1] - lo
-            for q in _ball(arr[order[b0:b1]], k, kendall, **ball):
-                # Each pair once: inside a slab from its smaller rank.
-                up = (q > k) | ("lead" in ball)
+            for q in _ball(arr[order[b0:b1]], k, kendall, avoid, lead):
+                # Each pair once: from its smaller rank, or across an edge from the smaller slab.
+                up = (q > k) | (lead is not None)
                 hit = member(q[up])
                 if hit.any():
                     at = np.flatnonzero(up)[hit != 0]
                     mark(b0 + at)
                     mark(np.searchsorted(sranks, q[at] + lo))
 
-    repeats = np.flatnonzero(sranks[1:] == sranks[:-1])
-    if len(repeats):
-        mark(np.concatenate([repeats, repeats + 1]))
+    if len(runs):
+        mark(np.concatenate([runs, runs + 1]))
     n = arr.shape[1]
-    slab = math.factorial(n - 1)
-    bits = np.zeros(-(-slab // 8) if n <= _BITMAP_N else 0, dtype=np.uint8)
-    edges = np.searchsorted(sranks, slab * np.arange(n + 1))  # first codeword of each slab
-    size = np.diff(edges)
-    for s in np.flatnonzero(size).tolist():
-        lo = s * slab
-        held = sranks[edges[s] : edges[s + 1]] - lo
-        if len(bits):
+    if n > _BITMAP_N:
+        probe(0, len(sranks), 0, lambda q: sranks[sranks.searchsorted(q, "right") - 1] == q)
+    else:
+        slab = math.factorial(n - 1)
+        bits = np.zeros(-(-slab // 8), dtype=np.uint8)
+        member = lambda x: bits[x >> 3] & _BIT[x & 7]
+        edges = np.searchsorted(sranks, slab * np.arange(n + 1))  # first codeword of each slab
+        size = np.diff(edges)
+        for s in np.flatnonzero(size).tolist():
+            lo = s * slab
+            held = sranks[edges[s] : edges[s + 1]] - lo
             np.bitwise_or.at(bits, held >> 3, _BIT[held & 7])
-            member = lambda x: bits[x >> 3] & _BIT[x & 7]
-        else:
-            member = lambda x: held[np.minimum(np.searchsorted(held, x), len(held) - 1)] == x
-        probe(edges[s], edges[s + 1], avoid=(s - 1, s))
-        # Across each edge, from the smaller slab.
-        if s and size[s - 1] <= size[s]:
-            probe(edges[s - 1], edges[s], lead=s - 1)
-        if s < n - 1 and size[s + 1] < size[s]:
-            probe(edges[s + 1], edges[s + 2], lead=s)
-        if len(bits):
+            probe(edges[s], edges[s + 1], lo, member, avoid=(s - 1, s))
+            # Across each edge, from the smaller slab.
+            if s and size[s - 1] <= size[s]:
+                probe(edges[s - 1], edges[s], lo, member, lead=s - 1)
+            if s < n - 1 and size[s + 1] < size[s]:
+                probe(edges[s + 1], edges[s + 2], lo, member, lead=s)
             bits[held >> 3] = 0
     return np.flatnonzero(near) if near is not None else np.empty(0, dtype=np.int64)
 

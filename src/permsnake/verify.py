@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import _pairdist
 from .constructions import snake_upper_bound
@@ -34,36 +35,37 @@ from .perm import (
     undo_transition,
 )
 
-MODE_EXHAUSTIVE = "exhaustive"
-
 
 @dataclass
 class SnakeReport:
     """Verification verdict for one Gray code."""
 
     size: int
-    distinct: bool
     cyclic_ok: bool | None  # None when the code does not claim cyclicity
     min_distance: int | None  # None when fewer than two codewords
     metric_tag: str
     bound: int
-    mode: str
     pairs_checked: int
     violations: list[_pairdist.Violation] = field(default_factory=list)
+    mode = "exhaustive"  # every verdict is exact
+
+    @property
+    def distinct(self) -> bool:
+        return self.min_distance != 0
 
     @property
     def valid(self) -> bool:
-        return (
-            self.distinct
-            and self.cyclic_ok is not False
-            and (self.min_distance is None or self.min_distance >= 2)
-        )
+        return self.cyclic_ok is not False and (self.min_distance is None or self.min_distance >= 2)
+
+    @cached_property
+    def _bound_text(self) -> str:
+        return _decimal(self.bound)
 
     def summary_line(self) -> str:
         min_d = "na" if self.min_distance is None else str(self.min_distance)
         return (
             f"valid={str(self.valid).lower()} size={self.size} min_d={min_d} "
-            f"metric={self.metric_tag} bound={_decimal(self.bound)} mode={self.mode}"
+            f"metric={self.metric_tag} bound={self._bound_text} mode={self.mode}"
         )
 
     def render(self) -> str:
@@ -73,7 +75,7 @@ class SnakeReport:
             f"cyclic:       {'n/a' if self.cyclic_ok is None else self.cyclic_ok}",
             f"min distance: {'n/a' if self.min_distance is None else self.min_distance}"
             f" ({self.metric_tag})",
-            f"size bound:   {_decimal(self.bound)}",
+            f"size bound:   {self._bound_text}",
             f"mode:         {self.mode} ({self.pairs_checked} pairs)",
             f"verdict:      {'VALID' if self.valid else 'INVALID'}",
         ]
@@ -125,12 +127,10 @@ def verify_code(code: GrayCode) -> SnakeReport:
 
     return SnakeReport(
         size=m,
-        distinct=cert.min_distance != 0,
         cyclic_ok=cyclic_ok,
         min_distance=cert.min_distance,
         metric_tag=code.metric_tag,
         bound=_metric_bound(code.n, code.metric_tag),
-        mode=MODE_EXHAUSTIVE,
         pairs_checked=cert.pairs_checked,
         violations=cert.violations,
     )

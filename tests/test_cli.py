@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permsnake import cli, verify
 from permsnake.cli import main
 from permsnake.constructions import snake_from_rmgc
 from permsnake.documents import (
@@ -384,6 +385,19 @@ def test_verify_prints_a_bound_of_more_than_4300_digits(tmp_path, capsys, n, dig
     # The decimal module converts the int without int-to-str's limit.
     assert bound == str(decimal.Decimal(math.factorial(n) // 2 ** (n // 2)))
     assert (len(bound), hashlib.sha256(bound.encode()).hexdigest()) == (digits, sha256)
+
+
+def test_print_verdict_formats_the_bound_once(monkeypatch, capsys):
+    # Formatting the 277,330-digit bound at n = 65,536 takes about a second.
+    calls = []
+    decimal_text = verify._decimal
+    monkeypatch.setattr(verify, "_decimal", lambda x: calls.append(1) or decimal_text(x))
+    report = verify_code(GrayCode(1700, identity(1700), (), False, METRIC_LINF))
+    assert cli._print_verdict(report) == 0
+    out = capsys.readouterr().out
+    assert len(calls) == 1
+    bound = decimal_text(report.bound)
+    assert f"size bound:   {bound}\n" in out and f" bound={bound} mode=exhaustive\n" in out
 
 
 def test_verify_applies_the_ksnake_coset_rule(tmp_path, capsys):

@@ -1,17 +1,20 @@
 """The ball certificate's rank lookup at its slab edges.
 
 Slab s is the (n-1)! ranks whose key leads with the 0-based value s.
-Up to n = 13 the certificate looks ranks up in a window of one slab;
-for n = 14 and n = 20 it binary-searches the slab's ranks, and at n = 20
-the last slab holds ranks next to 20! - 1, the top of what an int64 rank
-holds.  A pair across the edge of slabs s and s+1 swaps pair s, and
-is looked up from whichever of the two slabs holds fewer codewords.
+Up to n = 13 the certificate looks ranks up in a window of one slab,
+and a pair across the edge of slabs s and s+1, which swaps pair s, is
+looked up from whichever of the two slabs holds fewer codewords.  For
+n = 14 and n = 20 one pass walks each batch of codewords' whole balls
+and binary-searches all the sorted ranks, whatever the slabs; at n = 20
+the last slab holds ranks next to 20! - 1, the top of what an int64
+rank holds.
 Each code here holds exactly one pair at distance 1, planted across a
 slab edge, inside slab 0 or inside the last slab, under either metric,
 or across each edge in turn, with either side of the edge the larger.
 The ball walk must mark exactly the first and the last codeword as
 near, must mark none once the partner is dropped, and the certificate
-must equal the pairwise scan.
+must equal the pairwise scan.  A code with one codeword in each of the
+20 slabs must walk one ball per batch, not one per slab and edge.
 """
 import math
 import random
@@ -19,6 +22,7 @@ import random
 import numpy as np
 import pytest
 
+from permsnake import _pairdist
 from permsnake._pairdist import (
     _keys,
     _kendall_dist,
@@ -83,7 +87,9 @@ def window_hit(arr, kendall):
     key, _ = _keys(arr, kendall)
     ranks = _ranks(key)
     order = np.argsort(ranks, kind="stable")
-    return set(order[_near(arr, order, ranks[order], kendall)].tolist())
+    sranks = ranks[order]
+    runs = np.flatnonzero(sranks[1:] == sranks[:-1])
+    return set(order[_near(arr, order, sranks, runs, kendall)].tolist())
 
 
 @pytest.mark.parametrize("case", ["edge", "slab 0", "last slab"])
@@ -165,3 +171,19 @@ def test_window_finds_a_pair_across_every_slab_edge(n, metric):
             held = np.bincount(_ranks(_keys(arr, kendall)[0]) // math.factorial(n - 1), minlength=n)
             assert held[larger] > held[2 * s + 1 - larger]
             assert_one_close_pair(arr, kendall)
+
+
+@pytest.mark.parametrize("metric", [METRIC_LINF, METRIC_KENDALL])
+def test_one_ball_walk_per_batch_above_n13(monkeypatch, metric):
+    # The rotations of 1..20 lead with every value and hold the value 1
+    # at every position, so each of the 20 slabs holds one codeword.
+    n = 20
+    arr = np.array([[*range(s + 1, n + 1), *range(1, s + 1)] for s in range(n)], dtype=np.uint8)
+    kendall = metric == METRIC_KENDALL
+    slabs = _ranks(_keys(arr, kendall)[0]) // math.factorial(n - 1)
+    assert sorted(slabs.tolist()) == list(range(n))
+    calls = []
+    ball = _pairdist._ball
+    monkeypatch.setattr(_pairdist, "_ball", lambda *a, **kw: calls.append(1) or ball(*a, **kw))
+    assert window_hit(arr, kendall) == set()
+    assert len(calls) == math.ceil(len(arr) / _pairdist._CHUNK)
