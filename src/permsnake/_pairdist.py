@@ -27,6 +27,7 @@ all m(m-1)/2 pairs.  It takes the codewords as one (m, n) array.
   swaps neither, and one across the edge of slabs s and s+1 swaps pair
   s.  Up to n = 13 the walk looks slab by slab in one reused bitmap,
   (n-1)! bits (60 MB at n = 13); above, one pass in all sorted ranks.
+  Each pair is looked up from one end only.
 
 Both codewords of every close pair are near, so the first VIOLATION_CAP
 close pairs are listed from the first 2·VIOLATION_CAP near codewords by
@@ -56,7 +57,8 @@ _MAX_RANK_N = 20  # 20! < 2**63: every rank fits an int64
 _BITMAP_N = 13  # the largest n whose lookup is a rank window
 _BIT = np.array([1 << b for b in range(8)], dtype=np.uint8)  # bit b of a bitmap byte
 _FACT = np.array([math.factorial(k) for k in range(_MAX_RANK_N + 1)], dtype=np.int64)
-_CHUNK = 1 << 13  # codewords per batch of ball lookups
+_CHUNK = 1 << 12  # codewords per batch of ball lookups
+_CELLS = 1 << 15  # neighbour ranks per table
 
 class Certificate(NamedTuple):
     """The exact pairwise verdict on one list of codewords.
@@ -129,9 +131,7 @@ def _sorted_ranks(arr: np.ndarray, kendall: bool) -> tuple[np.ndarray, np.ndarra
     m fits.
     """
     m = len(arr)
-    ranks = np.concatenate(
-        [_ranks(_keys(arr[c0 : c0 + _CHUNK], kendall)[0]) for c0 in range(0, m, _CHUNK)]
-    )
+    ranks = np.concatenate([_ranks(_key(arr[c0 : c0 + _CHUNK], kendall)) for c0 in range(0, m, _CHUNK)])
     order = np.argsort(ranks, kind="stable").astype(np.int32 if m < 2**31 else np.int64)
     return order, ranks[order]
 
@@ -143,16 +143,17 @@ def _repeat_first(repeat: tuple[int, int] | None, close: list[Violation]) -> lis
     return [(repeat, 0), *(v for v in close if v != (repeat, 0))]
 
 
-def _keys(rows: np.ndarray, kendall: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The 0-based key permutations of rows, and their inverses, as (n, m) int8.
+def _key(rows: np.ndarray, inverse: bool) -> np.ndarray:
+    """rows as 0-based (n, m) int8 permutations, or their inverses.
 
-    Chebyshev keys a codeword p by p and Kendall by p⁻¹, so the two
-    metrics differ only in which of the pair is the key.
+    ``_key(rows, kendall)`` is the key, ``_key(rows, not kendall)`` its inverse.
     """
     p = rows.T.astype(np.int8) - 1
+    if not inverse:
+        return p
     inv = np.empty_like(p)
     inv[p, np.arange(p.shape[1])] = np.arange(len(p), dtype=np.int8)[:, None]
-    return (inv, p) if kendall else (p, inv)
+    return inv
 
 
 def _ranks(p: np.ndarray) -> np.ndarray:
@@ -168,34 +169,44 @@ def _ranks(p: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _ball(rows: np.ndarray, k: np.ndarray, kendall: bool, avoid=(), lead=None) -> Iterator[np.ndarray]:
-    """The neighbour ranks of each codeword's radius-1 ball, one array per neighbour.
+def _ball(
+    rows: np.ndarray, k: np.ndarray, kendall: bool, avoid=(), lead=None, both=False
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The radius-1 balls of rows, whose keys rank k, as tables (cols, q).
 
-    rows are (m, n) codewords and k the ranks of their keys.  Row v of
-    the steps is the rank step of swapping the values v and v+1 (pair
-    v): ±(n-1-a)! with a the smaller of their positions, + when v comes
-    first.  Chebyshev neighbours take the steps of every nonempty
-    matching, Kendall neighbours one step each.  No neighbour swaps a
-    pair in avoid; each swaps the lead pair, if given.
+    Column j of q holds neighbours of row cols[j].  Step v swaps the
+    values v and v+1 (pair v): ±(n-1-a)!, a the smaller of their
+    positions, + when pair v ascends.  Kendall neighbours are steps.
+    Chebyshev group v is k + step v + each matching sum S(v+2) of the
+    pairs above v+1, grown in place: S(u) is S(u+1), then step u +
+    S(u+2), its prefix.  A matching's swap reverses its lowest pair, so
+    only rows where pair v ascends probe group v, unless both.  Nothing
+    swaps a pair in avoid; lead is one group, all that swap pair lead.
+    A table holds about _CELLS ranks at most.
     """
-    inv = _keys(rows, kendall)[1]
-    first, second = inv[:-1], inv[1:]
-    step = _FACT[len(inv) - 1 - np.minimum(first, second)]
-    step = np.where(first < second, step, -step)
+    inv = _key(rows, not kendall)
+    a = np.arange(n := len(inv))
+    # Signed steps by the positions of a pair.
+    signed = _FACT[n - 1 - np.minimum.outer(a, a)] * np.sign(a - a[:, None])
+    step = signed.ravel()[inv[:-1] * np.int16(n) + inv[1:]]
+    groups = [(v, v + 2) for v in range(n - 1) if v not in avoid]
     if lead is not None:
-        k = k + step[lead]
-        yield k
-        avoid = range(len(step)) if kendall else (lead - 1, lead, lead + 1)
-    free = [v for v in range(len(step)) if v not in avoid]
-    yield from (k + step[v] for v in free) if kendall else _matchings(step, k, free)
-
-
-def _matchings(step: np.ndarray, k: np.ndarray, free: list) -> Iterator[np.ndarray]:
-    """k plus each nonempty sum of the step rows in free, no two adjacent."""
-    for i, v in enumerate(free):
-        grown = k + step[v]
-        yield grown
-        yield from _matchings(step, grown, [u for u in free[i + 1 :] if u > v + 1])
+        groups, avoid, both = [(lead, 0)], (lead - 1, lead, lead + 1), True
+    for v, low in groups:
+        # (u, rows of S(u+2), rows so far) per pair u added, top down.
+        plan, size, prev = [], 1, 1
+        for u in reversed(range(low, n - 1)):
+            free = not kendall and u not in avoid
+            plan += [(u, prev, size)] * free
+            size, prev = size + prev * free, size
+        cols = np.flatnonzero(both | (step[v] > 0))
+        for c in np.array_split(cols, len(cols) * size // _CELLS + 1):
+            st = step.take(c, 1)
+            q = np.empty((size, len(c)), k.dtype)
+            q[0] = k[c] + st[v]
+            for u, p, at in plan:
+                np.add(q[:p], st[u], out=q[at : at + p])
+            yield c, q.ravel()
 
 
 def _near(
@@ -205,8 +216,9 @@ def _near(
 
     Up to n = 13 pass s looks up neighbours in slab s: its own, and
     across each edge those of the smaller slab; above, one pass looks up
-    whole balls.  The walk never stops early; a valid code marks
-    nothing, so the m flags are made only at the first mark.
+    whole balls.  The window is filled and cleared a batch at a time.
+    The walk never stops early; a valid code marks nothing, so the m
+    flags are made only at the first mark.
     """
     near: np.ndarray | None = None
 
@@ -216,42 +228,45 @@ def _near(
             near = np.zeros(len(sranks), dtype=bool)
         near[positions] = True
 
-    def probe(c0: int, c1: int, lo: int, member: Callable, avoid=(), lead=None) -> None:
+    def bytes_first(q: np.ndarray) -> np.ndarray:
+        # Most bytes of a sparse window are zero: bit-test only the others.
+        byte = bits[q >> 3]
+        at = np.flatnonzero(byte)
+        return at[byte[at] & _BIT[q[at] & 7] != 0]
+
+    def probe(c0: int, c1: int, lo: int, member: Callable = bytes_first, avoid=(), lead=None) -> None:
         # Sorted codewords [c0, c1) probe with their ranks less lo.
         for b0 in range(c0, c1, _CHUNK):
             b1 = min(b0 + _CHUNK, c1)
-            k = sranks[b0:b1] - lo
-            for q in _ball(arr[order[b0:b1]], k, kendall, avoid, lead):
-                # Each pair once: from its smaller rank, or across an edge from the smaller slab.
-                up = (q > k) | (lead is not None)
-                hit = member(q[up])
-                if hit.any():
-                    at = np.flatnonzero(up)[hit != 0]
-                    mark(b0 + at)
-                    mark(np.searchsorted(sranks, q[at] + lo))
+            for cols, q in _ball(arr.take(order[b0:b1], 0), sranks[b0:b1] - lo, kendall, avoid, lead):
+                if len(hit := member(q)):
+                    mark(b0 + cols[hit % len(cols)])
+                    mark(np.searchsorted(sranks, q[hit] + lo))
 
     if len(runs):
         mark(np.concatenate([runs, runs + 1]))
     n = arr.shape[1]
     if n > _BITMAP_N:
-        probe(0, len(sranks), 0, lambda q: sranks[sranks.searchsorted(q, "right") - 1] == q)
+        probe(0, len(sranks), 0, lambda q: np.flatnonzero(sranks[sranks.searchsorted(q, "right") - 1] == q))
     else:
         slab = math.factorial(n - 1)
         bits = np.zeros(-(-slab // 8), dtype=np.uint8)
-        member = lambda x: bits[x >> 3] & _BIT[x & 7]
         edges = np.searchsorted(sranks, slab * np.arange(n + 1))  # first codeword of each slab
         size = np.diff(edges)
         for s in np.flatnonzero(size).tolist():
             lo = s * slab
-            held = sranks[edges[s] : edges[s + 1]] - lo
-            np.bitwise_or.at(bits, held >> 3, _BIT[held & 7])
-            probe(edges[s], edges[s + 1], lo, member, avoid=(s - 1, s))
+            held = np.array_split(sranks[edges[s] : edges[s + 1]], size[s] // _CHUNK + 1)
+            for x in held:
+                x = x - lo
+                np.bitwise_or.at(bits, x >> 3, _BIT[x & 7])
+            probe(edges[s], edges[s + 1], lo, avoid=(s - 1, s))
             # Across each edge, from the smaller slab.
             if s and size[s - 1] <= size[s]:
-                probe(edges[s - 1], edges[s], lo, member, lead=s - 1)
+                probe(edges[s - 1], edges[s], lo, lead=s - 1)
             if s < n - 1 and size[s + 1] < size[s]:
-                probe(edges[s + 1], edges[s + 2], lo, member, lead=s)
-            bits[held >> 3] = 0
+                probe(edges[s + 1], edges[s + 2], lo, lead=s)
+            for x in held:
+                bits[(x - lo) >> 3] = 0
     return np.flatnonzero(near) if near is not None else np.empty(0, dtype=np.int64)
 
 
@@ -264,19 +279,19 @@ def _close_pairs(
     near codewords by index starts a pair or ends one that an earlier one
     starts, so they start at least VIOLATION_CAP pairs, and every later
     pair sorts after those.  Only they are looked up, each with its own
-    rank (distance 0) and its ball (distance 1).  A stable sort keeps every
-    equal-rank run in index order, so the partners j > i are a tail of each
-    run.
+    rank (distance 0) and its whole ball (distance 1).  A stable sort
+    keeps every equal-rank run in index order, so the partners j > i are
+    a tail of each run.
     """
     at = near[np.argsort(order[near])[: 2 * VIOLATION_CAP]]
     rows, k = order[at], sranks[at]
     found: list[Violation] = []
-    for d, q in ((0, k), *((1, x) for x in _ball(arr[rows], k, kendall))):
+    for d, cols, q in ((0, np.arange(len(k)), k), *((1, *x) for x in _ball(arr[rows], k, kendall, both=True))):
         left = np.searchsorted(sranks, q, "left")
         right = np.searchsorted(sranks, q, "right")
         # A codeword's own rank always finds its own run.
-        for t in np.flatnonzero(right - left > (1 if d == 0 else 0)):
-            i = int(rows[t])
+        for t in np.flatnonzero(right - left > (d == 0)):
+            i = int(rows[cols[t % len(cols)]])
             js = order[left[t] : right[t]]
             found.extend(((i, int(j)), d) for j in js[js > i][:VIOLATION_CAP])
     return sorted(found)[:VIOLATION_CAP]

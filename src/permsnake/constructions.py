@@ -70,9 +70,12 @@ def size_table(n: int) -> SizeTable:
 
 
 def rmgc_snake_start(n: int) -> Perm:
-    """Canonical start [1, 4, 6, ..., 2q-2, 2, 2q, 3, 5, ..., 2p-1]."""
+    """Canonical start [1, 4, 6, ..., 2q-2, 2, 2q, 3, 5, ..., 2p-1].
+
+    Below n = 4 the 2 and 2q coincide or vanish, and the start is the identity.
+    """
     p, q = -(-n // 2), n // 2
-    evens = list(range(4, 2 * q - 1, 2)) + [2, 2 * q]
+    evens = list(range(4, 2 * q - 1, 2)) + [2, 2 * q][:q]
     odds = list(range(3, 2 * p, 2))
     return check_perm([1] + evens + odds)
 

@@ -15,6 +15,9 @@ The ball walk must mark exactly the first and the last codeword as
 near, must mark none once the partner is dropped, and the certificate
 must equal the pairwise scan.  A code with one codeword in each of the
 20 slabs must walk one ball per batch, not one per slab and edge.
+The window is read a byte first: a looked-up rank that shares a byte
+with a codeword but not its bit marks nothing, and close pairs at bit 0
+and bit 7 of a byte are both found.
 """
 import math
 import random
@@ -24,7 +27,7 @@ import pytest
 
 from permsnake import _pairdist
 from permsnake._pairdist import (
-    _keys,
+    _key,
     _kendall_dist,
     _linf_dist,
     _near,
@@ -84,8 +87,7 @@ def planted(n, metric, case):
 
 def window_hit(arr, kendall):
     """The indices of the codewords that the ball walk marks as near."""
-    key, _ = _keys(arr, kendall)
-    ranks = _ranks(key)
+    ranks = _ranks(_key(arr, kendall))
     order = np.argsort(ranks, kind="stable")
     sranks = ranks[order]
     runs = np.flatnonzero(sranks[1:] == sranks[:-1])
@@ -99,7 +101,7 @@ def test_window_finds_the_planted_pair(n, metric, case):
     code = planted(n, metric, case)
     arr = code._codewords
     kendall = metric == METRIC_KENDALL
-    slabs = (_ranks(_keys(arr[[0, -1]], kendall)[0]) // math.factorial(n - 1)).tolist()
+    slabs = (_ranks(_key(arr[[0, -1]], kendall)) // math.factorial(n - 1)).tolist()
     assert slabs == {"edge": [5, 6] if not kendall else [1, 0], "slab 0": [0, 0], "last slab": [n - 1] * 2}[case]
 
     assert_one_close_pair(arr, kendall)
@@ -163,12 +165,12 @@ def test_window_finds_a_pair_across_every_slab_edge(n, metric):
     rng = random.Random(n)
     for s in range(n - 1):
         code = across_edge(n, metric, s)._codewords
-        slabs = _ranks(_keys(code[[0, -1]], kendall)[0]) // math.factorial(n - 1)
+        slabs = _ranks(_key(code[[0, -1]], kendall)) // math.factorial(n - 1)
         assert slabs.tolist() == [s, s + 1]
         # Fill either side of the edge, so that each side is the larger once.
         for larger in (s, s + 1):
             arr = with_filler(code, kendall, larger, rng)
-            held = np.bincount(_ranks(_keys(arr, kendall)[0]) // math.factorial(n - 1), minlength=n)
+            held = np.bincount(_ranks(_key(arr, kendall)) // math.factorial(n - 1), minlength=n)
             assert held[larger] > held[2 * s + 1 - larger]
             assert_one_close_pair(arr, kendall)
 
@@ -180,10 +182,79 @@ def test_one_ball_walk_per_batch_above_n13(monkeypatch, metric):
     n = 20
     arr = np.array([[*range(s + 1, n + 1), *range(1, s + 1)] for s in range(n)], dtype=np.uint8)
     kendall = metric == METRIC_KENDALL
-    slabs = _ranks(_keys(arr, kendall)[0]) // math.factorial(n - 1)
+    slabs = _ranks(_key(arr, kendall)) // math.factorial(n - 1)
     assert sorted(slabs.tolist()) == list(range(n))
     calls = []
     ball = _pairdist._ball
     monkeypatch.setattr(_pairdist, "_ball", lambda *a, **kw: calls.append(1) or ball(*a, **kw))
     assert window_hit(arr, kendall) == set()
     assert len(calls) == math.ceil(len(arr) / _pairdist._CHUNK)
+
+
+def unrank(r, n):
+    """The permutation of 1..n with Lehmer rank r."""
+    left, out = list(range(1, n + 1)), []
+    for a in range(n - 1, -1, -1):
+        digit, r = divmod(r, math.factorial(a))
+        out.append(left.pop(digit))
+    return tuple(out)
+
+
+def probed(row, kendall):
+    """The in-slab ranks that one codeword's oriented ball looks up in the window."""
+    rows = np.array([row], dtype=np.uint8)
+    k = _ranks(_key(rows, kendall))
+    s = int(k[0]) // math.factorial(len(row) - 1)
+    return [int(q) for _, t in _pairdist._ball(rows, k, kendall, avoid=(s - 1, s)) for q in t]
+
+
+def codeword(key, kendall):
+    return inverse(key) if kendall else key
+
+
+def assert_certified_as_scanned(rows, kendall, near):
+    """The ball walk marks exactly near, and the certificate equals the pairwise scan."""
+    arr = np.array(rows, dtype=np.uint8)
+    m = len(arr)
+    best, violations = _pairwise_scan(_order_bitmaps(arr) if kendall else arr, _kendall_dist if kendall else _linf_dist)
+    assert window_hit(arr, kendall) == near
+    certify = min_pairwise_kendall if kendall else min_pairwise_linf
+    assert certify(arr) == (best, violations, m * (m - 1) // 2)
+    return best, violations
+
+
+@pytest.mark.parametrize("metric", [METRIC_LINF, METRIC_KENDALL])
+@pytest.mark.parametrize("n", [9, 12])
+def test_a_rank_sharing_a_byte_with_a_codeword_marks_nothing(n, metric):
+    # The window is tested a byte first; a neighbour of p in the byte of a
+    # codeword c must still miss when its bit is not c's.
+    kendall = metric == METRIC_KENDALL
+    dist = kendall_distance if kendall else linf_distance
+    rng = random.Random(n)
+    found = 0
+    while found < 3:
+        p = tuple(rng.sample(range(1, n + 1), n))
+        for r in probed(p, kendall):
+            c = codeword(unrank(r ^ (1 << rng.randrange(3)), n), kendall)
+            if dist(p, c) >= 2:
+                best, _ = assert_certified_as_scanned([p, c], kendall, set())
+                assert best >= 2
+                found += 1
+                break
+
+
+@pytest.mark.parametrize("metric", [METRIC_LINF, METRIC_KENDALL])
+@pytest.mark.parametrize("n", [9, 12])
+def test_close_pairs_at_bit_0_and_bit_7_of_a_byte(n, metric):
+    kendall = metric == METRIC_KENDALL
+    rng = random.Random(10 * n + kendall)
+    ends = {}
+    while len(ends) < 2:
+        p = tuple(rng.sample(range(1, n + 1), n))
+        for r in probed(p, kendall):
+            if r % 8 in (0, 7) and r % 8 not in ends:
+                ends[r % 8] = [p, codeword(unrank(r, n), kendall)]
+                break
+    rows = ends[0] + ends[7]
+    best, violations = assert_certified_as_scanned(rows, kendall, {0, 1, 2, 3})
+    assert best == 1 and {((0, 1), 1), ((2, 3), 1)} <= set(violations)

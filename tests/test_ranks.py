@@ -10,16 +10,19 @@ q at Kendall distance 1, each neighbour listed once.  At n = 20, where
 ranks reach 20! - 1, the ranks and balls of three rows are checked
 against Lehmer ranks in Python ints of the explicitly swapped rows.
 The certificate splits each ball by slab; the parts must make up the
-whole ball and land in the slabs that the split claims.
+whole ball and land in the slabs that the split claims.  Inside a slab
+only one end of each distance-1 pair looks it up; the edge groups take
+the pairs across slab edges.
 """
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from permsnake._pairdist import _ball, _keys, _ranks
+from permsnake._pairdist import _ball, _key, _ranks
 
 
 def all_perms(n):
@@ -54,13 +57,20 @@ def kendall(p, table):
     return d
 
 
+def ball_lists(rows, k, kendall_metric, **split):
+    """Each row's sorted neighbour ranks, from the tables of its whole ball in ``_pairdist``."""
+    balls = [[] for _ in range(len(rows))]
+    for cols, q in _ball(rows, k, kendall_metric, both=True, **split):
+        table = q.reshape(-1, len(cols))  # column j: neighbours of row cols[j]
+        for j, r in enumerate(cols.tolist()):
+            balls[r].extend(table[:, j].tolist())
+    return [sorted(b) for b in balls]
+
+
 def certificate_balls(rows, kendall_metric):
     """Sorted neighbour ranks per row, and each row's own rank, from ``_pairdist``."""
-    k = _ranks(_keys(rows, kendall_metric)[0])
-    neighbours = list(_ball(rows, k, kendall_metric))
-    if not neighbours:
-        return k, [[] for _ in range(len(rows))]
-    return k, np.sort(np.stack(neighbours), axis=0).T.tolist()
+    k = _ranks(_key(rows, kendall_metric))
+    return k, ball_lists(rows, k, kendall_metric)
 
 
 def check(rows, n):
@@ -90,8 +100,8 @@ def test_sampled_balls_at_n7():
 def test_ball_sizes():
     # F(n+1) - 1 Chebyshev neighbours (F the Fibonacci numbers), n - 1 Kendall.
     rows = all_perms(6)[:1]
-    assert len(list(_ball(rows, _ranks(_keys(rows, False)[0]), False))) == 12
-    assert len(list(_ball(rows, _ranks(_keys(rows, True)[0]), True))) == 5
+    assert len(certificate_balls(rows, False)[1][0]) == 12
+    assert len(certificate_balls(rows, True)[1][0]) == 5
 
 
 def lehmer(p):
@@ -160,16 +170,62 @@ def test_slab_split_of_the_ball(n, kendall_metric):
     slab = math.factorial(n - 1)
     for s in range(n):
         rows = slab_rows(rng, n, s, kendall_metric)
-        k = _ranks(_keys(rows, kendall_metric)[0])
+        k = _ranks(_key(rows, kendall_metric))
         assert (k // slab == s).all()
+        parts = [(ball_lists(rows, k, kendall_metric, avoid=(s - 1, s)), s)]
+        if s < n - 1:
+            parts.append((ball_lists(rows, k, kendall_metric, lead=s), s + 1))
+        if s:
+            parts.append((ball_lists(rows, k, kendall_metric, lead=s - 1), s - 1))
+        for balls, to in parts:
+            assert all(q // slab == to for ball in balls for q in ball)
+        whole = ball_lists(rows, k, kendall_metric)
+        for r in range(len(rows)):
+            assert sorted(q for balls, _ in parts for q in balls[r]) == whole[r]
 
-        def ball(**split):
-            return np.array(list(_ball(rows, k, kendall_metric, **split))).reshape(-1, len(rows))
 
-        inside = ball(avoid=(s - 1, s))
-        up = ball(lead=s) if s < n - 1 else inside[:0]
-        down = ball(lead=s - 1) if s else inside[:0]
-        for q, to in ((inside, s), (up, s + 1), (down, s - 1)):
-            assert (q // slab == to).all()
-        split_ball = np.sort(np.concatenate([inside, up, down]), axis=0)
-        assert split_ball.tolist() == np.sort(ball(), axis=0).tolist()
+def listed(row, kendall_metric, by_slab):
+    """The ranks that one codeword looks up, with repeats.
+
+    By slab (the walk up to n = 13), slab s probes its oriented ball
+    without pairs s-1 and s, and the pairs across the edge to slab s+1
+    are taken here from the lower slab.  Otherwise (the one pass above
+    n = 13) each codeword probes its whole oriented ball.
+    """
+    n = len(row)
+    rows = np.array([row], dtype=np.uint8)
+    k = _ranks(_key(rows, kendall_metric))
+    s = int(k[0]) // math.factorial(n - 1)
+    splits = [{"avoid": (s - 1, s)}, *([{"lead": s}] if s < n - 1 else [])] if by_slab else [{}]
+    return Counter(q for split in splits for _, t in _ball(rows, k, kendall_metric, **split) for q in t.tolist())
+
+
+def neighbours(p, kendall_metric):
+    """Every q at distance 1 from p, by value swaps (Chebyshev) or position swaps (Kendall)."""
+    if not kendall_metric:
+        return list(value_swaps(p))
+    return [p[:a] + (p[a + 1], p[a]) + p[a + 2 :] for a in range(len(p) - 1)]
+
+
+@pytest.mark.parametrize("kendall_metric", [False, True])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9, 13, 14, 20])
+def test_one_end_of_each_close_pair_looks_it_up(n, kendall_metric):
+    """Of the two ends of a distance-1 pair, exactly one lists the other.
+
+    Swapping a matching reverses its lowest pair, so only the end where
+    that pair ascends probes it; by slab, a pair across a slab edge is
+    left to the edge groups.  For random codewords, by slab and in one
+    pass, every neighbour (a sample of 25 above n = 9) must be listed
+    exactly once, from one end, and nothing outside the ball is listed.
+    """
+    rng = random.Random(1000 * n + kendall_metric)
+    rank = (lambda p: lehmer(inverse(p))) if kendall_metric else lehmer
+    for _ in range(6 if n <= 9 else 3):
+        p = tuple(rng.sample(range(1, n + 1), n))
+        ball = neighbours(p, kendall_metric)
+        ranks = {rank(q) for q in ball}
+        for by_slab in (True, False):
+            from_p = listed(p, kendall_metric, by_slab)
+            assert set(from_p) <= ranks
+            for q in ball if n <= 9 else rng.sample(ball, min(25, len(ball))):
+                assert from_p[rank(q)] + listed(q, kendall_metric, by_slab)[rank(p)] == 1
