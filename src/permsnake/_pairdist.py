@@ -2,17 +2,20 @@
 
 A code has minimum distance >= 2 iff no codeword lies in the radius-1
 ball of another, so the certificate looks balls up instead of comparing
-all m(m-1)/2 pairs.  It takes the codewords as one (m, n) array.
+all m(m-1)/2 pairs.  It reads the codewords as blocks of rows in index
+order, slices of one (m, n) array or the segments of a code's walk.
 
 - Every row is a permutation of 1..n (``GrayCode`` checks its start).
 - The metric is the certificate's one switch.  It picks which of p and
   p⁻¹ keys a codeword p (Chebyshev keys p, Kendall p⁻¹) and whether a
   radius-1 ball is the matchings or the single steps of that key.
 - Each codeword is keyed by the Lehmer rank of its key.  Ranks fit an
-  int64 for every n <= 20.  The ranks are sorted once (stably), and
-  equal-rank runs are the distance-0 pairs; the first repeated codeword
-  is read off them too.  The certificate keeps only the sort order
-  (int32) and the sorted ranks, 12 bytes per codeword.
+  int64 for every n <= 20.  The ranks are sorted in place, and
+  equal-rank runs are the distance-0 pairs.  The certificate keeps only
+  the sorted ranks, 8 bytes per codeword, and unranks each batch of them
+  back into keys; no row of the code is held.  Only when some codeword
+  is near does a second pass over the blocks find the near codewords'
+  indices, and with them the close pairs and the first repeat.
 - Swapping the values v and v+1 of a key changes exactly one Lehmer
   digit, the one at the smaller of their two positions a, by +1 when v
   comes first and -1 otherwise: a rank step of ±(n-1-a)!.
@@ -34,11 +37,10 @@ close pairs are listed from the first 2·VIOLATION_CAP near codewords by
 index alone.  With no codeword near the minimum is at least 2, and
 exactly 2 as soon as one consecutive pair is at distance 2.  The codes
 the ranks cannot certify, those with n > 20 and those with no codeword
-near and no consecutive pair at distance 2, take one chunked scan of
-every pair, which computes the exact minimum.  Only when that scan finds
-distance 0 is the first repeat read, from a dict of the rows.  Kendall
-distances in the scan are popcounts of XORed order bitmaps: bit (u, v),
-u < v, records whether u precedes v.
+near and no consecutive pair at distance 2, take the scan of every pair
+in ``_pairscan`` over the rows, read whole, which computes the exact
+minimum.  Only when that scan finds distance 0 is the first repeat read,
+from a dict of the rows.
 """
 from __future__ import annotations
 
@@ -47,11 +49,16 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .perm import Perm
-
-Violation = tuple[tuple[int, int], int]
-
-VIOLATION_CAP = 50
+from ._pairscan import (
+    VIOLATION_CAP,
+    Violation,
+    _kendall_dist,
+    _linf_dist,
+    _order_bitmaps,
+    _pairwise_scan,
+    find_duplicate,
+)
+from .perm import _SEGMENT
 
 _MAX_RANK_N = 20  # 20! < 2**63: every rank fits an int64
 _BITMAP_N = 13  # the largest n whose lookup is a rank window
@@ -75,65 +82,97 @@ class Certificate(NamedTuple):
     pairs_checked: int
 
 
-def find_duplicate(codewords: Iterable[Perm]) -> tuple[int, int] | None:
-    """(i, j) for the smallest j repeating an earlier codeword i, else None."""
-    seen: dict[Perm, int] = {}
-    for j, c in enumerate(codewords):
-        if c in seen:
-            return (seen[c], j)
-        seen[c] = j
-    return None
-
-
 def min_pairwise_linf(codewords: np.ndarray) -> Certificate:
     """Exact Chebyshev minimum over all pairs of rows of an (m, n) array."""
-    return _certify(codewords, False)
+    return _certify_rows(np.asarray(codewords), False)
 
 
 def min_pairwise_kendall(codewords: np.ndarray) -> Certificate:
     """Exact Kendall minimum over all pairs of rows of an (m, n) array."""
-    return _certify(codewords, True)
+    return _certify_rows(np.asarray(codewords), True)
 
 
-def _certify(codewords: np.ndarray, kendall: bool) -> Certificate:
-    arr = np.asarray(codewords)
-    m = len(arr)
+def _certify_rows(arr: np.ndarray, kendall: bool) -> Certificate:
+    def blocks() -> Iterator[np.ndarray]:
+        return (arr[c0 : c0 + _SEGMENT] for c0 in range(0, len(arr), _SEGMENT))
+
+    return _certify(blocks, len(arr), arr.shape[-1], kendall)
+
+
+def _certify(
+    blocks: Callable[[], Iterable[np.ndarray]], m: int, n: int, kendall: bool
+) -> Certificate:
+    """The exact verdict on m codewords of length n, read from blocks() in index order.
+
+    One pass ranks every codeword and notes whether a consecutive pair is
+    at distance 2.  blocks() is called again only when some codeword is
+    near, or to scan every pair.
+    """
     if m < 2:
         return Certificate(None, [], 0)
+    if n > _MAX_RANK_N:
+        return _scan(np.concatenate(list(blocks())), kendall)
     pairs = m * (m - 1) // 2
-    ranked = arr.shape[1] <= _MAX_RANK_N
-    if ranked:
-        order, sranks = _sorted_ranks(arr, kendall)
-        runs = np.flatnonzero(sranks[1:] == sranks[:-1])
-        near = _near(arr, order, sranks, runs, kendall)
-        if len(near):
-            violations = _close_pairs(arr, order, sranks, near, kendall)
-            if not len(runs):
-                return Certificate(1, violations, pairs)
-            # Equal-rank runs keep index order, so the smallest repeating index
-            # is the second of its run, right after its first occurrence.
-            t = int(runs[np.argmin(order[runs + 1])])
-            duplicate = (int(order[t]), int(order[t + 1]))
-            return Certificate(0, _repeat_first(duplicate, violations), pairs)
-    x, dist = (_order_bitmaps(arr), _kendall_dist) if kendall else (arr, _linf_dist)
-    if ranked and _consecutive_at_two(x, dist):
+    sranks, two = _rank_pass(blocks(), m, kendall)
+    sranks.sort()
+    runs = np.flatnonzero(sranks[1:] == sranks[:-1])
+    near = _near(sranks, runs, n, kendall)
+    if len(near):
+        ranks, index = _near_indices(sranks[near], blocks(), kendall)
+        violations = _close_pairs(ranks, index, n, kendall)
+        if not len(runs):
+            return Certificate(1, violations, pairs)
+        # Equal-rank runs keep index order, so the smallest repeating index
+        # is the second of its run, right after its first occurrence.
+        runs = np.flatnonzero(ranks[1:] == ranks[:-1])
+        t = int(runs[np.argmin(index[runs + 1])])
+        duplicate = (int(index[t]), int(index[t + 1]))
+        return Certificate(0, _repeat_first(duplicate, violations), pairs)
+    if two:
         return Certificate(2, [], pairs)
-    best, violations = _pairwise_scan(x, dist)
-    duplicate = find_duplicate(map(tuple, arr.tolist())) if best == 0 else None
-    return Certificate(best, _repeat_first(duplicate, violations), pairs)
+    return _scan(np.concatenate(list(blocks())), kendall)
 
 
-def _sorted_ranks(arr: np.ndarray, kendall: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The stable sort order of the codewords' ranks, and the sorted ranks.
+def _rank_pass(blocks: Iterable[np.ndarray], m: int, kendall: bool) -> tuple[np.ndarray, bool]:
+    """The ranks of m codewords in index order, and whether a consecutive pair is at distance 2."""
+    ranks = np.empty(m, dtype=np.int64)
+    at, last, two = 0, None, False
+    for rows in blocks:
+        ranks[at : at + len(rows)] = _ranks(_key(rows, kendall))
+        at += len(rows)
+        if not two and len(rows):
+            two = _consecutive_at_two(rows if last is None else np.concatenate((last, rows)), kendall)
+            last = rows[-1:]
+    return ranks, two
 
-    The ranks in index order die here: the codeword at position t of the
-    sorted ranks is order[t], with rank sranks[t].  order is int32 whenever
-    m fits.
+
+def _near_indices(
+    want: np.ndarray, blocks: Iterable[np.ndarray], kendall: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ranks in want, sorted, and the index of the codeword each belongs to.
+
+    Every codeword whose rank is in want is found, so equal ranks keep
+    index order, as a stable sort of all the ranks orders them.
     """
-    m = len(arr)
-    ranks = np.concatenate([_ranks(_key(arr[c0 : c0 + _CHUNK], kendall)) for c0 in range(0, m, _CHUNK)])
-    order = np.argsort(ranks, kind="stable").astype(np.int32 if m < 2**31 else np.int64)
-    return order, ranks[order]
+    ranks, index, at = [], [], 0
+    for rows in blocks:
+        k = _ranks(_key(rows, kendall))
+        hit = np.flatnonzero(np.isin(k, want))
+        ranks.append(k[hit])
+        index.append(at + hit)
+        at += len(rows)
+    ranks, index = np.concatenate(ranks), np.concatenate(index)
+    order = np.argsort(ranks, kind="stable")
+    return ranks[order], index[order]
+
+
+def _scan(rows: np.ndarray, kendall: bool) -> Certificate:
+    """The verdict of one chunked scan of every pair of rows."""
+    m = len(rows)
+    x, dist = (_order_bitmaps(rows), _kendall_dist) if kendall else (rows, _linf_dist)
+    best, violations = _pairwise_scan(x, dist)
+    duplicate = find_duplicate(map(tuple, rows.tolist())) if best == 0 else None
+    return Certificate(best, _repeat_first(duplicate, violations), m * (m - 1) // 2)
 
 
 def _repeat_first(repeat: tuple[int, int] | None, close: list[Violation]) -> list[Violation]:
@@ -149,8 +188,11 @@ def _key(rows: np.ndarray, inverse: bool) -> np.ndarray:
     ``_key(rows, kendall)`` is the key, ``_key(rows, not kendall)`` its inverse.
     """
     p = rows.T.astype(np.int8) - 1
-    if not inverse:
-        return p
+    return _inverse(p) if inverse else p
+
+
+def _inverse(p: np.ndarray) -> np.ndarray:
+    """The inverse of each column of a 0-based (n, m) int8 permutation array."""
     inv = np.empty_like(p)
     inv[p, np.arange(p.shape[1])] = np.arange(len(p), dtype=np.int8)[:, None]
     return inv
@@ -169,10 +211,27 @@ def _ranks(p: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _unrank(k: np.ndarray, n: int) -> np.ndarray:
+    """The 0-based (n, m) int8 permutations whose Lehmer ranks are k.
+
+    Digit a is k // (n-1-a)! % (n-a).  From the right, each value is its
+    digit, and the later values at or above it move up by one, which
+    keeps the suffix a permutation: n - 1 numpy steps, no table.
+    """
+    p = np.zeros((n, len(k)), dtype=np.int8)
+    for a in range(n - 1):
+        p[a] = k // _FACT[n - 1 - a] % (n - a)
+    for a in reversed(range(n - 1)):
+        p[a + 1 :] += p[a + 1 :] >= p[a]
+    return p
+
+
 def _ball(
-    rows: np.ndarray, k: np.ndarray, kendall: bool, avoid=(), lead=None, both=False
+    inv: np.ndarray, k: np.ndarray, kendall: bool, avoid=(), lead=None, both=False
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The radius-1 balls of rows, whose keys rank k, as tables (cols, q).
+    """The radius-1 balls of keys ranked k, as tables (cols, q).
+
+    inv holds the keys' inverses, as ``_key(rows, not kendall)`` gives them.
 
     Column j of q holds neighbours of row cols[j].  Step v swaps the
     values v and v+1 (pair v): ±(n-1-a)!, a the smaller of their
@@ -184,7 +243,6 @@ def _ball(
     swaps a pair in avoid; lead is one group, all that swap pair lead.
     A table holds about _CELLS ranks at most.
     """
-    inv = _key(rows, not kendall)
     a = np.arange(n := len(inv))
     # Signed steps by the positions of a pair.
     signed = _FACT[n - 1 - np.minimum.outer(a, a)] * np.sign(a - a[:, None])
@@ -209,16 +267,15 @@ def _ball(
             yield c, q.ravel()
 
 
-def _near(
-    arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, runs: np.ndarray, kendall: bool
-) -> np.ndarray:
+def _near(sranks: np.ndarray, runs: np.ndarray, n: int, kendall: bool) -> np.ndarray:
     """The sorted positions, in rank order, of every codeword within distance 1 of another.
 
-    Up to n = 13 pass s looks up neighbours in slab s: its own, and
-    across each edge those of the smaller slab; above, one pass looks up
-    whole balls.  The window is filled and cleared a batch at a time.
-    The walk never stops early; a valid code marks nothing, so the m
-    flags are made only at the first mark.
+    Each batch of sorted ranks is unranked into its keys.  Up to n = 13
+    pass s looks up neighbours in slab s: its own, and across each edge
+    those of the smaller slab; above, one pass looks up whole balls.  The
+    window is filled and cleared a batch at a time.  The walk never stops
+    early; a valid code marks nothing, so the m flags are made only at
+    the first mark.
     """
     near: np.ndarray | None = None
 
@@ -237,15 +294,14 @@ def _near(
     def probe(c0: int, c1: int, lo: int, member: Callable = bytes_first, avoid=(), lead=None) -> None:
         # Sorted codewords [c0, c1) probe with their ranks less lo.
         for b0 in range(c0, c1, _CHUNK):
-            b1 = min(b0 + _CHUNK, c1)
-            for cols, q in _ball(arr.take(order[b0:b1], 0), sranks[b0:b1] - lo, kendall, avoid, lead):
+            k = sranks[b0 : min(b0 + _CHUNK, c1)]
+            for cols, q in _ball(_inverse(_unrank(k, n)), k - lo, kendall, avoid, lead):
                 if len(hit := member(q)):
                     mark(b0 + cols[hit % len(cols)])
                     mark(np.searchsorted(sranks, q[hit] + lo))
 
     if len(runs):
         mark(np.concatenate([runs, runs + 1]))
-    n = arr.shape[1]
     if n > _BITMAP_N:
         probe(0, len(sranks), 0, lambda q: np.flatnonzero(sranks[sranks.searchsorted(q, "right") - 1] == q))
     else:
@@ -270,81 +326,38 @@ def _near(
     return np.flatnonzero(near) if near is not None else np.empty(0, dtype=np.int64)
 
 
-def _close_pairs(
-    arr: np.ndarray, order: np.ndarray, sranks: np.ndarray, near: np.ndarray, kendall: bool
-) -> list[Violation]:
+def _close_pairs(ranks: np.ndarray, index: np.ndarray, n: int, kendall: bool) -> list[Violation]:
     """The lexicographically first VIOLATION_CAP pairs at distance 0 or 1.
 
-    Both ends of every close pair are near.  Each of the first 2·VIOLATION_CAP
-    near codewords by index starts a pair or ends one that an earlier one
-    starts, so they start at least VIOLATION_CAP pairs, and every later
-    pair sorts after those.  Only they are looked up, each with its own
-    rank (distance 0) and its whole ball (distance 1).  A stable sort
-    keeps every equal-rank run in index order, so the partners j > i are
-    a tail of each run.
+    ranks are the near codewords' sorted ranks and index their indices.
+    Both ends of every close pair are near.  Each of the first
+    2·VIOLATION_CAP near codewords by index starts a pair or ends one that
+    an earlier one starts, so they start at least VIOLATION_CAP pairs, and
+    every later pair sorts after those.  Only they are looked up, each
+    with its own rank (distance 0) and its whole ball (distance 1), in
+    the near ranks alone.  Equal ranks keep index order, so the partners
+    j > i are a tail of each run.
     """
-    at = near[np.argsort(order[near])[: 2 * VIOLATION_CAP]]
-    rows, k = order[at], sranks[at]
+    at = np.argsort(index)[: 2 * VIOLATION_CAP]
+    rows, k = index[at], ranks[at]
     found: list[Violation] = []
-    for d, cols, q in ((0, np.arange(len(k)), k), *((1, *x) for x in _ball(arr[rows], k, kendall, both=True))):
-        left = np.searchsorted(sranks, q, "left")
-        right = np.searchsorted(sranks, q, "right")
+    balls = _ball(_inverse(_unrank(k, n)), k, kendall, both=True)
+    for d, cols, q in ((0, np.arange(len(k)), k), *((1, *x) for x in balls)):
+        left = np.searchsorted(ranks, q, "left")
+        right = np.searchsorted(ranks, q, "right")
         # A codeword's own rank always finds its own run.
         for t in np.flatnonzero(right - left > (d == 0)):
             i = int(rows[cols[t % len(cols)]])
-            js = order[left[t] : right[t]]
+            js = index[left[t] : right[t]]
             found.extend(((i, int(j)), d) for j in js[js > i][:VIOLATION_CAP])
     return sorted(found)[:VIOLATION_CAP]
 
 
-def _consecutive_at_two(x: np.ndarray, dist: Callable[..., np.ndarray]) -> bool:
+def _consecutive_at_two(rows: np.ndarray, kendall: bool) -> bool:
     """True if some consecutive pair of rows is at distance exactly 2."""
-    for c0 in range(0, len(x) - 1, _CHUNK):
-        c1 = min(c0 + _CHUNK, len(x) - 1)
-        if (dist(x[c0 + 1 : c1 + 1], x[c0:c1]) == 2).any():
+    for c0 in range(0, len(rows) - 1, _CHUNK):
+        x = rows[c0 : c0 + _CHUNK + 1]
+        x, dist = (_order_bitmaps(x), _kendall_dist) if kendall else (x, _linf_dist)
+        if (dist(x[1:], x[:-1]) == 2).any():
             return True
     return False
-
-
-def _linf_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # Codewords are unsigned: subtract them as signed values.
-    return np.abs(x.astype(np.int32) - y).max(axis=-1)
-
-
-def _kendall_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(x ^ y).sum(axis=-1, dtype=np.int64)
-
-
-def _order_bitmaps(arr: np.ndarray) -> np.ndarray:
-    """(m, words) uint64 order bitmaps: bit (u, v) set when rank u precedes rank v."""
-    m, n = arr.shape
-    pos = np.argsort(arr, axis=1)
-    pairs = n * (n - 1) // 2
-    bits = np.zeros((m, 8 * max(1, -(-pairs // 64))), dtype=np.uint8)
-    rows = max(1, (1 << 22) // max(1, pairs))  # rows per batch of pair comparisons
-    for r0 in range(0, m, rows):
-        p = pos[r0 : r0 + rows]
-        before = np.concatenate([p[:, u, None] < p[:, u + 1 :] for u in range(n)], axis=1)
-        packed = np.packbits(before, axis=1, bitorder="little")
-        bits[r0 : r0 + rows, : packed.shape[1]] = packed
-    return bits.view(np.uint64)
-
-
-def _pairwise_scan(x: np.ndarray, dist: Callable[..., np.ndarray]) -> tuple[int, list[Violation]]:
-    """Exact minimum and first close pairs over every pair of rows of x."""
-    m = len(x)
-    best: int | None = None
-    violations: list[Violation] = []
-    block = max(1, 4_000_000 // (m * x.shape[1]))
-    for i0 in range(0, m - 1, block):
-        i1 = min(i0 + block, m - 1)
-        d = dist(x[i0:i1, None], x[None, :])
-        upper = np.arange(m)[None, :] > np.arange(i0, i1)[:, None]
-        chunk_min = int(d[upper].min())
-        if best is None or chunk_min < best:
-            best = chunk_min
-        if chunk_min < 2 and len(violations) < VIOLATION_CAP:
-            bad = np.argwhere(upper & (d < 2))
-            for bi, j in bad[: VIOLATION_CAP - len(violations)]:
-                violations.append(((int(bi) + i0, int(j)), int(d[bi, j])))
-    return best, violations

@@ -7,6 +7,7 @@ mismatch, 2 parse, I/O or precondition errors.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from dataclasses import astuple
@@ -26,14 +27,12 @@ from .documents import (
     KIND_KSNAKE,
     KIND_RMGC,
     KIND_SNAKE,
-    detect_kind,
     document_chunks,
     ksnake_chunks,
-    parse_document,
-    parse_rmgc_document,
+    read_document,
     rmgc_chunks,
 )
-from .errors import ParseError, VerificationError
+from .errors import VerificationError
 from .ksnake import (
     check_parity,
     embedded_a5_snake,
@@ -43,7 +42,7 @@ from .ksnake import (
     verify_snake,
 )
 from .perm import METRIC_KENDALL, METRIC_LINF, GrayCode, format_perm
-from .rmgc import build_rmgc, complete_and_cyclic
+from .rmgc import RmgcSequence, build_rmgc, complete_and_cyclic
 from .verify import SnakeReport, exhaustive_max_snake, verify_code
 
 ABSENT = "—"  # table placeholder for sizes without a construction
@@ -108,6 +107,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.method == "thm2":
         code = snake_from_ksnake(n, _load_snake_source(args))
     elif args.method == "lemma3":
+        if n < 6:
+            raise ValueError(f"the RMGC block needs n >= 6, got {n}")
         code = rmgc_block(rmgc_snake_start(n), args.variant)
     elif args.method == "lemma7":
         code = ksnake_block(ksnake_snake_start(n), _load_snake_source(args).pushes)
@@ -133,8 +134,7 @@ def _print_verdict(report: SnakeReport) -> int:
     return 0 if report.valid else 1
 
 
-def _verify_rmgc_text(text: str) -> int:
-    r = parse_rmgc_document(text)
+def _verify_rmgc(r: RmgcSequence) -> int:
     complete, cyclic = complete_and_cyclic(r)
     ok = complete and cyclic
     print(
@@ -145,21 +145,21 @@ def _verify_rmgc_text(text: str) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    kind = detect_kind(text)
-    if kind == KIND_SNAKE:
-        return _print_verdict(verify_code(parse_document(text).code))
-    if kind == KIND_KSNAKE:
-        # A valid report must also pass import-ksnake's coset rule.
-        snake = parse_ksnake_fields(text)
-        report = verify_code(snake)
-        if report.valid:
-            check_parity(snake)
-        return _print_verdict(report)
+    """Verify a snake, ksnake or rmgc document.
+
+    The file is read in pieces by ``documents.read_document``; neither its
+    text nor its lines are held while the check runs.
+    """
+    with open(args.file, "rb") as fh:
+        kind, parsed = read_document(fh if fh.seekable() else io.BytesIO(fh.read()))
     if kind == KIND_RMGC:
-        return _verify_rmgc_text(text)
-    raise ParseError(f"unrecognised document kind {kind!r}")
+        return _verify_rmgc(parsed)
+    code = parsed.code if kind == KIND_SNAKE else parsed
+    report = verify_code(code)
+    if kind == KIND_KSNAKE and report.valid:
+        # A valid report must also pass import-ksnake's coset rule.
+        check_parity(code)
+    return _print_verdict(report)
 
 
 def _cmd_sizes(args: argparse.Namespace) -> int:

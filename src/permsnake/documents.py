@@ -19,28 +19,40 @@ Each kind is written by a generator of chunks of whole lines
 (``document_chunks``, ``ksnake_chunks``, ``rmgc_chunks``), so a caller can
 write a document without holding it as one string; ``format_*`` join the
 chunks.  Transition lines and the codeword listing are written by one
-vectorised token writer, ``_token_chunks``, from integer arrays, and read
-back by one vectorised token reader, ``_read_ints``; a listing is read
-into one array and compared with the recomputed codewords in one pass.
-The reader hands transitions on as its array, and ``GrayCode`` and
+vectorised token writer, ``_token_chunks``, from integer arrays (a listing
+from ``GrayCode.blocks()``, one walk segment at a time), and read back by
+one vectorised token reader, ``_reader._read_ints``; a listing is read
+into one array and compared with the walk a segment at a time.  The
+reader hands transitions on as its array, and ``GrayCode`` and
 ``RmgcSequence`` check and pack them; the writers read a code's packed
 pushes through ``perm.push_array``.
-Text the reader does not take (any byte but an ASCII digit, a space or a
-newline, or a token of more than 18 digits) is parsed token by token
-instead, so that the first malformed token or line is the one named.
+
+``read_document`` reads a binary file in pieces (``_reader._stream``):
+the head lines are decoded, and the integer lines after them are
+tokenised from the pieces themselves, so neither the file's text nor a
+list of its lines is held.  A file with a byte that reader does not take
+(anything but printable ASCII in the head, or anything but ASCII digits,
+spaces and newlines after it, bar one ``codewords:`` line, or a token of
+more than 18 digits) is read again as a text file reads (UTF-8,
+universal newlines).  Text goes through the same piece reader when it is
+ASCII; text it refuses is parsed line by line and token by token, so
+that the first malformed token or line is the one named.
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, BinaryIO, Callable, Iterator
 
 import numpy as np
 
+from ._reader import _DIGITS, _NEWLINE, _SPACE, _Numbers, _stream
 from .errors import ParseError, VerificationError
 from .perm import (
     METRIC_KENDALL,
     METRIC_LINF,
     GrayCode,
+    check_perm,
     format_perm,
     parse_perm,
     parse_transitions,
@@ -50,10 +62,8 @@ from .rmgc import RmgcSequence
 
 _WRAP = 30  # transition tokens per line
 _CHUNK_TOKENS = 1 << 16  # about this many tokens are written at a time
-_CHUNK_LINES = 1 << 10  # lines read at a time
-_MAX_DIGITS = 18  # the longest token the reader takes: 10**18 < 2**63
-_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
-_SPACE, _NEWLINE = ord(" "), ord("\n")
+_MARKER = "codewords:"
+_Section = _Numbers | list[str]  # lines of integers: the piece reader's numbers, or the text lines
 
 KIND_SNAKE = "snake"
 KIND_KSNAKE = "ksnake"
@@ -106,60 +116,57 @@ def _token_chunks(values: np.ndarray, per_line: int) -> Iterator[str]:
         yield grid[keep].tobytes().decode("ascii")
 
 
-def _read_ints(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
-    """The integers of lines as one unsigned array, and how many each line holds.
+def _nonblank(text: str) -> list[str]:
+    return [ln for ln in text.splitlines() if ln.strip()]
 
-    None unless every token is 1 to 18 ASCII digits and every separator a
-    space.  About 1 K lines at a time are joined into one uint8 buffer; a
-    token starts where a digit follows a separator, and its value is built
-    one digit column at a time, so no temporary is larger than a chunk.
-    Each chunk's values are kept in the narrowest type that holds them:
-    uint8 for transitions and codewords up to n = 255.
 
-    >>> values, counts = _read_ints(["3 10", "007  2 123", ""])
-    >>> values.tolist(), counts.tolist()
-    ([3, 10, 7, 2, 123], [2, 3, 0])
-    >>> _read_ints(["t3 3"]) is None
-    True
+def read_document(fh: BinaryIO) -> tuple[str, Any]:
+    """The kind of the document in a binary file, and what its parser returns.
+
+    The file is read in pieces (``_stream``), so neither its text nor a
+    list of its lines is held.  A file the piece reader refuses is read
+    again from the start, as a text file reads (UTF-8, universal
+    newlines), and parsed as text, so every outcome, every error included,
+    is that of the text.
     """
-    values, counts = [], []
-    for c0 in range(0, len(lines), _CHUNK_LINES):
-        try:
-            text = ("\n".join(lines[c0 : c0 + _CHUNK_LINES]) + "\n").encode("ascii")
-        except UnicodeEncodeError:
-            return None
-        b = np.frombuffer(text, dtype=np.uint8)
-        digit = (b >= _DIGITS[0]) & (b <= _DIGITS[-1])
-        if not (digit | (b == _SPACE) | (b == _NEWLINE)).all():
-            return None
-        # Each token's first digit, and the byte just past its last.
-        edge = np.flatnonzero(digit[1:] != digit[:-1]) + 1
-        starts = np.concatenate((np.flatnonzero(digit[:1]), edge[digit[edge]]))
-        ends = edge[~digit[edge]]
-        width = ends - starts
-        if width.max(initial=0) > _MAX_DIGITS:
-            return None
-        v = np.zeros(len(starts), dtype=np.int64)
-        for col in range(width.max(initial=0)):
-            more = width > col
-            v[more] = v[more] * 10 + (b[starts[more] + col] - _DIGITS[0])
-        values.append(v.astype(np.min_scalar_type(v.max(initial=0))))
-        counts.append(np.diff(np.searchsorted(starts, np.flatnonzero(b == _NEWLINE)), prepend=0))
-    if not values:
-        return np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.int64)
-    return np.concatenate(values), np.concatenate(counts)
+    read = _stream(fh, _LAYOUT)
+    if read is not None:
+        return read[0], _PARSERS[read[0]](*read[1:])
+    fh.seek(0)
+    text = _decoded(fh.read())
+    kind = detect_kind(text)
+    if kind not in _PARSERS:
+        raise ParseError(f"unrecognised document kind {kind!r}")
+    return kind, _parse(text, kind)
 
 
-def _packed_transitions(lines: list[str]) -> np.ndarray | tuple[int, ...]:
-    """The transition tokens of lines: the reader's array when it takes them
-    all, else a tuple, for ``GrayCode`` or ``RmgcSequence`` to check and pack.
+def _decoded(data: bytes) -> str:
+    """The text that a file of these bytes reads as in text mode."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _parse(text: str, kind: str) -> Any:
+    """What the parser of kind makes of a text: read in pieces if the piece
+    reader takes it, else line by line, so that the first malformed token
+    or line is the one named."""
+    read = _stream(io.BytesIO(text.encode()), _LAYOUT) if text.isascii() else None
+    if read is None:
+        lines = _nonblank(text)
+        want, marker = _LAYOUT[kind]
+        cut = lines.index(_MARKER, want) if marker and _MARKER in lines[want:] else len(lines)
+        read = (kind, lines[:want], lines[want:cut], lines[cut + 1 :] if cut < len(lines) else None)
+    return _PARSERS[kind](*read[1:])
+
+
+def _packed_transitions(body: _Section) -> np.ndarray | tuple[int, ...]:
+    """The transitions the reader read, or those of text lines as a tuple,
+    for ``GrayCode`` or ``RmgcSequence`` to check and pack.
 
     A malformed token raises the ParseError ``parse_transitions`` gives.
     """
-    read = _read_ints(lines)
-    if read is None:
-        return _parsed(parse_transitions, " ".join(lines))
-    return read[0]
+    if isinstance(body, list):
+        return _parsed(parse_transitions, " ".join(body))
+    return body[0]
 
 
 def document_chunks(doc: CodeDocument, include_codewords: bool = False) -> Iterator[str]:
@@ -172,19 +179,17 @@ def document_chunks(doc: CodeDocument, include_codewords: bool = False) -> Itera
     yield f"{format_perm(code.start)}\n"
     yield from _token_chunks(push_array(code.pushes), _WRAP)
     if include_codewords:
-        yield "codewords:\n"
-        yield from _token_chunks(code._codewords, code.n)
+        yield f"{_MARKER}\n"
+        for rows in code.blocks():
+            yield from _token_chunks(rows, code.n)
 
 
 def format_document(doc: CodeDocument, include_codewords: bool = False) -> str:
     return "".join(document_chunks(doc, include_codewords))
 
 
-def _read(
-    text: str, kind: str, *int_fields: str
-) -> tuple[list[str], dict[str, str], list[int]]:
-    """A document's nonblank lines, its header fields and the named int fields."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def _header(lines: list[str], kind: str, *int_fields: str) -> tuple[dict[str, str], list[int]]:
+    """The header fields of a document's nonblank lines, and the named int fields."""
     if not lines:
         raise ParseError("empty document")
     if lines[0].split()[0] != kind:
@@ -196,7 +201,7 @@ def _read(
             raise ParseError(f"bad header field {part!r} in {lines[0]!r}")
         fields[key] = value
     try:
-        return lines, fields, [int(fields[name]) for name in int_fields]
+        return fields, [int(fields[name]) for name in int_fields]
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad {kind} header: {lines[0]!r}") from exc
 
@@ -210,19 +215,20 @@ def _parsed(parse: Callable[..., Any], *args: Any) -> Any:
 
 
 def _parse_code(
-    lines: list[str], n: int, size: int, cyclic: bool
+    head: list[str], body: _Section, n: int, size: int, cyclic: bool
 ) -> tuple[tuple[int, ...], np.ndarray | tuple[int, ...]]:
-    """The start and pushes a start line and transition lines spell, checked
-    against the header; the pushes are checked when their code is made."""
+    """The start a header and start line spell, and the pushes of the
+    transition lines, checked against the header; the pushes are checked
+    when their code is made."""
     if cyclic and size < 1:
         raise ParseError(f"a cyclic snake needs size >= 1, got size={size}")
-    if not lines:
+    if len(head) < 2:
         # A one-codeword noncyclic code has no transition line.
         raise ParseError("snake document needs a start line")
-    start = _parsed(parse_perm, lines[0])
+    start = _parsed(parse_perm, head[1])
     if len(start) != n:
         raise ParseError(f"start has {len(start)} values but header says n={n}")
-    pushes = _packed_transitions(lines[1:])
+    pushes = _packed_transitions(body)
     expected_len = size if cyclic else size - 1
     if len(pushes) != expected_len:
         raise ParseError(
@@ -235,52 +241,59 @@ def _parse_code(
 def parse_document(text: str) -> CodeDocument:
     """Parse a snake document; malformed text raises ParseError.
 
-    A present codeword listing is cross-checked against the recomputation
-    from start and transitions; a mismatch raises VerificationError.
+    A present codeword listing is cross-checked against the walk from start
+    and transitions, one segment at a time; a mismatch raises
+    VerificationError.
     """
-    lines, fields, (n, size) = _read(text, KIND_SNAKE, "n", "size")
+    return _parse(text, KIND_SNAKE)
+
+
+def _snake(head: list[str], body: _Section, listing: _Section | None) -> CodeDocument:
+    fields, (n, size) = _header(head, KIND_SNAKE, "n", "size")
     try:
         metric = fields["metric"]
         cyclic = {"true": True, "false": False}[fields["cyclic"]]
     except KeyError as exc:
-        raise ParseError(f"bad snake header: {lines[0]!r}") from exc
+        raise ParseError(f"bad snake header: {head[0]!r}") from exc
     if metric not in (METRIC_LINF, METRIC_KENDALL):
         raise ParseError(f"unknown metric {metric!r}")
-    body, listing = lines[1:], None
-    if "codewords:" in lines[2:]:
-        cut = lines.index("codewords:", 2)
-        body, listing = lines[1:cut], lines[cut + 1 :]
-    start, pushes = _parse_code(body, n, size, cyclic)
+    start, pushes = _parse_code(head, body, n, size, cyclic)
     # A malformed listing line is named before a bad push, and a bad push
     # before any verdict on the listing.
     listed = None if listing is None else _listed(listing, n)
     code = GrayCode(n, start, pushes, cyclic, metric)
     if listed is not None:
-        words = code._codewords
         mismatch = "codeword listing does not match the transitions"
         if len(listed) != size:
             raise VerificationError(mismatch)
-        diverge = np.flatnonzero((listed != words).any(axis=1))
-        if len(diverge):
-            raise VerificationError(f"{mismatch} (first divergence at codeword {diverge[0]})")
+        at = 0
+        for rows in code.blocks():
+            diverge = np.flatnonzero((listed[at : at + len(rows)] != rows).any(axis=1))
+            if len(diverge):
+                raise VerificationError(f"{mismatch} (first divergence at codeword {at + diverge[0]})")
+            at += len(rows)
     return CodeDocument(code, fields.get("method", "unknown"))
 
 
-def _listed(listing: list[str], n: int) -> np.ndarray:
+def _listed(listing: _Section, n: int) -> np.ndarray:
     """The codewords a listing names, as one (m, n) integer array.
 
     A malformed line raises the ParseError ``parse_perm`` gives, for the
     first such line.  A well-formed line of another length than n matches
     no codeword, so it reads as a row of zeros, which matches none either.
     """
-    read = _read_ints(listing)
-    if read is not None and (read[1] == n).all():
-        listed = read[0].reshape(len(listing), n)
-        if (np.sort(listed, axis=1) == np.arange(1, n + 1)).all():
-            return listed
-    # Some line is malformed or of another length: parse line by line, so
-    # that the first malformed line is the one named.
-    perms = _parsed(list, map(parse_perm, listing))
+    if isinstance(listing, list):
+        perms = _parsed(list, map(parse_perm, listing))
+    else:
+        values, counts = listing
+        counts = counts[counts > 0]  # the nonblank lines
+        if (counts == n).all():
+            listed = values.reshape(len(counts), n)
+            if (np.sort(listed, axis=1) == np.arange(1, n + 1)).all():
+                return listed
+        # Some line is of another length or no permutation: check line by line.
+        lines = np.split(values, np.cumsum(counts)[:-1])
+        perms = _parsed(list, map(check_perm, (line.tolist() for line in lines)))
     zeros = (0,) * n
     return np.array(
         [p if len(p) == n else zeros for p in perms], dtype=np.int64
@@ -305,10 +318,14 @@ def parse_ksnake_fields(text: str) -> GrayCode:
     Malformed text raises ParseError, and a push outside 2..n raises
     InvalidTransitionError when the snake is made.
     """
-    lines, _, (n, size) = _read(text, KIND_KSNAKE, "n", "size")
-    if len(lines[0].split()) != 3:  # fields other than n and size
-        raise ParseError(f"bad ksnake header: {lines[0]!r}")
-    return GrayCode(n, *_parse_code(lines[1:], n, size, True), True, METRIC_KENDALL)
+    return _parse(text, KIND_KSNAKE)
+
+
+def _ksnake(head: list[str], body: _Section, _: None) -> GrayCode:
+    _, (n, size) = _header(head, KIND_KSNAKE, "n", "size")
+    if len(head[0].split()) != 3:  # fields other than n and size
+        raise ParseError(f"bad ksnake header: {head[0]!r}")
+    return GrayCode(n, *_parse_code(head, body, n, size, True), True, METRIC_KENDALL)
 
 
 def rmgc_chunks(r: RmgcSequence) -> Iterator[str]:
@@ -322,8 +339,18 @@ def format_rmgc_document(r: RmgcSequence) -> str:
 
 
 def parse_rmgc_document(text: str) -> RmgcSequence:
-    lines, _, (n, length) = _read(text, KIND_RMGC, "n", "len")
-    seq = _packed_transitions(lines[1:])
+    return _parse(text, KIND_RMGC)
+
+
+def _rmgc(head: list[str], body: _Section, _: None) -> RmgcSequence:
+    _, (n, length) = _header(head, KIND_RMGC, "n", "len")
+    seq = _packed_transitions(body)
     if len(seq) != length:
         raise ParseError(f"header says len={length} but {len(seq)} transitions follow")
     return _parsed(RmgcSequence, n, seq)
+
+
+# Each kind's parser, from its head lines and sections.
+_PARSERS: dict[str, Callable[..., Any]] = {KIND_SNAKE: _snake, KIND_KSNAKE: _ksnake, KIND_RMGC: _rmgc}
+# Each kind's head lines (header, and start line but for rmgc) and listing marker.
+_LAYOUT = {KIND_SNAKE: (2, _MARKER.encode()), KIND_KSNAKE: (2, None), KIND_RMGC: (1, None)}

@@ -65,7 +65,7 @@ def verify_snake(snake: GrayCode) -> SnakeReport:
     report = verify_code(snake)
     if not report.cyclic_ok:
         raise VerificationError(
-            f"sequence does not close: ends at {snake._chain[-1].tolist()}, "
+            f"sequence does not close: ends at {list(snake.end)}, "
             f"started at {list(snake.start)}"
         )
     if not report.valid:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +27,13 @@ Perm = tuple[int, ...]
 
 METRIC_LINF = "linf"
 METRIC_KENDALL = "kendall"
+# Pushes walked at a time by walk_segments.  Larger segments make fewer
+# numpy calls but take no less wall time, and they raise the peak: verify
+# of a 9-RMGC peaks at 34.6 MB in process with 1 << 16, 40.3 MB with
+# 1 << 18 and 43.6 MB with 1 << 20, above the 36.4 MB of construct rmgc
+# --n 10 that sets the peak of perfbench's rmgc workload (10-RMGC: 67.7,
+# 69.1 and 87.5 MB).
+_SEGMENT = 1 << 16
 
 
 def identity(n: int) -> Perm:
@@ -197,6 +204,21 @@ def _walk(start: Perm, pushes: bytes | tuple[int, ...]) -> np.ndarray:
     return chain
 
 
+def walk_segments(start: Perm, pushes: bytes | tuple[int, ...]) -> Iterator[np.ndarray]:
+    """The walk of ``_walk``, _SEGMENT pushes at a time.
+
+    Each (k + 1, n) segment starts at the last word of the one before, so
+    only one segment is held at a time, and the last row of the last
+    segment is the word after every push.  No pushes give one segment of
+    the start alone.
+    """
+    word = start
+    for c0 in range(0, len(pushes) or 1, _SEGMENT):
+        segment = _walk(word, pushes[c0 : c0 + _SEGMENT])
+        yield segment
+        word = tuple(segment[-1].tolist())
+
+
 @lru_cache(maxsize=16)
 def _end_positions(n: int, pushes: bytes | tuple[int, ...]) -> tuple[int, ...]:
     """Which start position each position of a walk's last word holds the value of."""
@@ -226,10 +248,11 @@ class GrayCode:
 
     ``_chain`` walks the pushes once into one array of every word they
     visit, uint8 up to n = 255; ``_codewords`` is its first ``size`` rows
-    and ``codewords()`` a list-of-tuples view.  Moves act on positions,
-    not values, so ``end`` is the start relabelled by one position map,
-    which is walked once per distinct push sequence: blocks of one shape
-    from many starts share that walk.
+    and ``codewords()`` a list-of-tuples view.  ``blocks()`` gives the
+    same rows one walk segment at a time and keeps no chain.  Moves act
+    on positions, not values, so ``end`` is the start relabelled by one
+    position map, which is walked once per distinct push sequence: blocks
+    of one shape from many starts share that walk.
 
     >>> code = GrayCode(3, (1, 2, 3), (3, 3, 3), True, METRIC_LINF)
     >>> code.codewords(), code.end, code.pushes
@@ -272,6 +295,13 @@ class GrayCode:
     @cached_property
     def _codewords(self) -> np.ndarray:
         return self._chain[: self.size]
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The codewords in index order, as the rows of one walk segment at a time."""
+        for segment in walk_segments(self.start, self.pushes):
+            yield segment[:-1]
+        if not self.cyclic:
+            yield segment[-1:]
 
     def codewords(self) -> list[Perm]:
         cols = self._codewords.T.tolist()

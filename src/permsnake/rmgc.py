@@ -19,8 +19,8 @@ t_2, and position n^2-n holds t_{n-1}.  ``build_rmgc`` checks them on
 every build, also under ``python -O``, rather than trusting the recursion.
 
 ``complete_and_cyclic`` certifies a sequence without a tuple per word: it
-walks the sequence 64 K pushes at a time, each segment from the last word
-of the one before, and marks each word's Lehmer rank in an n!-entry array.
+walks the sequence with ``perm.walk_segments``, 64 K pushes at a time,
+and marks each word's Lehmer rank in an n!-entry array.
 """
 from __future__ import annotations
 
@@ -31,17 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._pairdist import _ranks
-from .perm import _walk, identity, pack_pushes
+from .perm import identity, pack_pushes, walk_segments
 
 BASE_N = 3
 MAX_N = 10  # 10! = 3,628,800 transitions; larger sequences are refused
-# Pushes walked and ranked at a time by complete_and_cyclic.  Larger
-# segments make fewer numpy calls but take no less wall time, and they
-# raise the peak: verify of a 9-RMGC peaks at 34.6 MB in process with
-# 1 << 16, 40.3 MB with 1 << 18 and 43.6 MB with 1 << 20, above the
-# 36.4 MB of construct rmgc --n 10 that sets the peak of perfbench's
-# rmgc workload (10-RMGC: 67.7, 69.1 and 87.5 MB).
-_SEGMENT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -140,10 +133,8 @@ def complete_and_cyclic(r: RmgcSequence) -> tuple[bool, bool]:
     >>> complete_and_cyclic(RmgcSequence(3, (3, 3, 3, 3, 3, 3)))
     (False, True)
     """
-    start = word = identity(r.n)
+    start = identity(r.n)
     seen = np.zeros(len(r.seq), dtype=bool)
-    for c0 in range(0, len(r.seq), _SEGMENT):
-        chain = _walk(word, r.seq[c0 : c0 + _SEGMENT])
-        seen[_ranks(chain[:-1].T.astype(np.int8) - 1)] = True
-        word = tuple(chain[-1].tolist())
-    return bool(seen.all()), word == start
+    for segment in walk_segments(start, r.seq):
+        seen[_ranks(segment[:-1].T.astype(np.int8) - 1)] = True
+    return bool(seen.all()), tuple(segment[-1].tolist()) == start

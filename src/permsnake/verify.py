@@ -1,13 +1,13 @@
 """Ground-truth validation of Gray codes and an exhaustive search oracle.
 
 ``verify_code`` recomputes everything from the transition sequence:
-cyclic closure from the last word of the walk that gives the codewords,
-and distinctness and the exact minimum distance over all pairs under the
-code's metric from one certificate (see ``_pairdist``) over the codeword
-array.  The certificate sorts the codewords' Lehmer ranks, which also
-yields the first repeated codeword, and looks up every codeword's
-radius-1 ball, so it is exact at every size; no verdict rests on a
-sample.
+cyclic closure from the last codeword of the walk that gives the
+codewords, and distinctness and the exact minimum distance over all
+pairs under the code's metric from one certificate (see ``_pairdist``)
+over that walk.  The certificate sorts the codewords' Lehmer ranks,
+which also yields the first repeated codeword, and looks up every
+codeword's radius-1 ball, so it is exact at every size; no verdict
+rests on a sample.
 
 ``exhaustive_max_snake`` is an independent oracle for tiny n: a full
 depth-first enumeration of snakes over push-to-the-top moves, used to
@@ -21,13 +21,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterator
+
+import numpy as np
 
 from . import _pairdist
 from .constructions import snake_upper_bound
 from .perm import (
+    _SEGMENT,
     METRIC_KENDALL,
     METRIC_LINF,
     GrayCode,
+    apply_transition,
     identity,
     kendall_distance,
     linf_distance,
@@ -109,21 +114,37 @@ def verify_code(code: GrayCode) -> SnakeReport:
     not describe a code: ``GrayCode`` raises InvalidTransitionError when
     the code is made, so none reaches here.  The exact certificate runs
     over all m(m-1)/2 pairs, and the report says mode=exhaustive.
-    """
-    codewords = code._codewords
-    m = len(codewords)
 
-    kernel = (
-        _pairdist.min_pairwise_linf
-        if code.metric_tag == METRIC_LINF
-        else _pairdist.min_pairwise_kendall
-    )
-    cert = kernel(codewords)
+    A code of at most one walk segment (``perm._SEGMENT`` pushes) is walked
+    whole into ``code._codewords``, which costs no more than the segment,
+    and the array certificate takes it.  A longer one is certified from
+    ``code.blocks()``, one segment at a time, and the same pass keeps the
+    last codeword for the closure check; no codeword array is made, and
+    ``code._chain`` is not touched.
+    """
+    m = code.size
+    kendall = code.metric_tag == METRIC_KENDALL
+    last = code.start  # the last codeword walked; the start if none is
+
+    def blocks() -> Iterator[np.ndarray]:
+        nonlocal last
+        for rows in code.blocks():
+            if len(rows):
+                last = tuple(rows[-1].tolist())
+            yield rows
+
+    if m > _SEGMENT:
+        cert = _pairdist._certify(blocks, m, code.n, kendall)
+    else:
+        words = code._codewords
+        cert = (_pairdist.min_pairwise_kendall if kendall else _pairdist.min_pairwise_linf)(words)
+        last = tuple(words[-1].tolist()) if m else last
 
     cyclic_ok: bool | None = None
     if code.cyclic:
-        # An empty cyclic code has no closing transition; a closing one ends at start.
-        cyclic_ok = m > 0 and tuple(code._chain[-1].tolist()) == tuple(code.start)
+        # An empty cyclic code has no closing push; a closing one takes the
+        # last codeword to the start.
+        cyclic_ok = m > 0 and apply_transition(last, code.pushes[-1]) == code.start
 
     return SnakeReport(
         size=m,

@@ -163,10 +163,12 @@ def test_construct_precondition_failures(capsys):
     assert rc == 2 and "4k" in stderr
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [-3, -1, 0, 1, 2, 3, 4, 5])
 def test_construct_lemma3_below_n6_names_the_precondition(capsys, n):
     rc, _, stderr = run(capsys, "construct", "lemma3", "--n", str(n))
     assert rc == 2 and "n >= 6" in stderr and stderr.count("\n") == 1
+    # The message names the n given, not a start of another length.
+    assert stderr == f"error: the RMGC block needs n >= 6, got {n}\n"
 
 
 def test_verify_documents(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from permsnake._reader import _read_ints
 from permsnake.blocks import rmgc_block
 from permsnake.constructions import GrayCode, snake_from_rmgc
 from permsnake.documents import (
@@ -350,8 +351,12 @@ def outcome(parse, *args):
 @given(st.lists(st.tuples(tokens(), st.sampled_from(_SEPARATORS)), max_size=40))
 def test_token_reader_matches_parse_transitions(spelled):
     lines = nonblank_lines("".join(tok + sep for tok, sep in spelled))
-    ours = outcome(lambda: tuple(_packed_transitions(lines)))
-    assert ours == outcome(parse_transitions, " ".join(lines))
+    expected = outcome(parse_transitions, " ".join(lines))
+    assert outcome(lambda: tuple(_packed_transitions(lines))) == expected
+    # The vectorised reader reads the same values, or refuses the text.
+    read = _read_ints([np.frombuffer(("\n".join(lines) + "\n").encode(), np.uint8)])
+    if read is not None:
+        assert tuple(_packed_transitions(read).tolist()) == expected
 
 
 def reference_listed(listing, n):
@@ -385,5 +390,9 @@ def listings(draw):
 @example((["1 2", "3 1 2 3"], 3))
 def test_listing_reader_matches_parse_perm(listing_n):
     listing, n = listing_n
-    ours = outcome(lambda: _listed(listing, n).tolist())
-    assert ours == outcome(reference_listed, listing, n)
+    expected = outcome(reference_listed, listing, n)
+    assert outcome(lambda: _listed(listing, n).tolist()) == expected
+    # From the vectorised reader's numbers, the same rows or the same error.
+    read = _read_ints([np.frombuffer(("\n".join(listing) + "\n").encode(), np.uint8)])
+    if read is not None:
+        assert outcome(lambda: _listed(read, n).tolist()) == expected

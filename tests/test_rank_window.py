@@ -91,7 +91,7 @@ def window_hit(arr, kendall):
     order = np.argsort(ranks, kind="stable")
     sranks = ranks[order]
     runs = np.flatnonzero(sranks[1:] == sranks[:-1])
-    return set(order[_near(arr, order, sranks, runs, kendall)].tolist())
+    return set(order[_near(sranks, runs, arr.shape[1], kendall)].tolist())
 
 
 @pytest.mark.parametrize("case", ["edge", "slab 0", "last slab"])
@@ -205,7 +205,7 @@ def probed(row, kendall):
     rows = np.array([row], dtype=np.uint8)
     k = _ranks(_key(rows, kendall))
     s = int(k[0]) // math.factorial(len(row) - 1)
-    return [int(q) for _, t in _pairdist._ball(rows, k, kendall, avoid=(s - 1, s)) for q in t]
+    return [int(q) for _, t in _pairdist._ball(_key(rows, not kendall), k, kendall, avoid=(s - 1, s)) for q in t]
 
 
 def codeword(key, kendall):

@@ -60,7 +60,7 @@ def kendall(p, table):
 def ball_lists(rows, k, kendall_metric, **split):
     """Each row's sorted neighbour ranks, from the tables of its whole ball in ``_pairdist``."""
     balls = [[] for _ in range(len(rows))]
-    for cols, q in _ball(rows, k, kendall_metric, both=True, **split):
+    for cols, q in _ball(_key(rows, not kendall_metric), k, kendall_metric, both=True, **split):
         table = q.reshape(-1, len(cols))  # column j: neighbours of row cols[j]
         for j, r in enumerate(cols.tolist()):
             balls[r].extend(table[:, j].tolist())
@@ -197,7 +197,7 @@ def listed(row, kendall_metric, by_slab):
     k = _ranks(_key(rows, kendall_metric))
     s = int(k[0]) // math.factorial(n - 1)
     splits = [{"avoid": (s - 1, s)}, *([{"lead": s}] if s < n - 1 else [])] if by_slab else [{}]
-    return Counter(q for split in splits for _, t in _ball(rows, k, kendall_metric, **split) for q in t.tolist())
+    return Counter(q for split in splits for _, t in _ball(_key(rows, not kendall_metric), k, kendall_metric, **split) for q in t.tolist())
 
 
 def neighbours(p, kendall_metric):

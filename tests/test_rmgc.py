@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from permsnake import rmgc
+from permsnake import perm, rmgc
 from permsnake.documents import format_rmgc_document
 from permsnake.errors import InvalidTransitionError
 from permsnake.perm import apply_sequence, identity
@@ -186,7 +186,7 @@ def test_complete_and_cyclic_matches_the_tuple_reference(case):
 @pytest.mark.parametrize("segment", [1, 7, 119])
 def test_complete_and_cyclic_across_segments(monkeypatch, segment):
     """Each segment of the walk starts from the last word of the one before."""
-    monkeypatch.setattr(rmgc, "_SEGMENT", segment)
+    monkeypatch.setattr(perm, "_SEGMENT", segment)
     built = list(build_rmgc(5).seq)
     edited = built[:60] + [2 if built[60] != 2 else 3] + built[61:]
     nonclosing = built[:-1] + [2 if built[-1] != 2 else 3]
