@@ -1,12 +1,11 @@
-"""The integers of a document's lines, read from its bytes with numpy.
+"""The integers of a binary file's lines, read from its bytes with numpy.
 
 ``_read_ints`` tokenises newline-terminated uint8 slices of ASCII digits
-and spaces.  ``_stream`` reads a binary file in pieces of about 32 KB
-that end just after a newline: the head lines are decoded, and the
-integers of the lines after them are read from the pieces themselves,
-cut at a marker line where the document's layout has one, so neither the
+and spaces.  ``_numbers`` reads the rest of a binary file in pieces of
+about 32 KB that end just after a newline, and tokenises the pieces
+themselves, cut at a marker line when one is given, so neither the
 file's text nor a list of its lines is held.  A byte the reader does not
-take makes it refuse the file, and ``documents`` reads it as text.
+take makes it refuse the file.
 """
 from __future__ import annotations
 
@@ -24,7 +23,6 @@ _SLICE = 1 << 15
 _MAX_DIGITS = 18  # the longest token the reader takes: 10**18 < 2**63
 _DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
 _SPACE, _NEWLINE = ord(" "), ord("\n")
-_PRINTABLE = bytes(range(0x20, 0x7F))
 
 _Numbers = tuple[np.ndarray, np.ndarray]  # what _read_ints reads: values, tokens per line
 
@@ -82,42 +80,20 @@ def _pieces(fh: BinaryIO) -> Iterator[bytes]:
         yield tail
 
 
-def _stream(
-    fh: BinaryIO, layout: dict[str, tuple[int, bytes | None]]
-) -> tuple[str, list[str], _Numbers, _Numbers | None] | None:
-    """A document's kind, its head lines, and the numbers of the lines after
-    them and after a marker line, read from a binary file.
+def _numbers(fh: BinaryIO, marker: bytes | None) -> tuple[_Numbers, _Numbers | None] | None:
+    """The numbers of the lines left in a binary file, cut at the first
+    marker line if a marker is given: those before it, and those after it
+    or None if there is none.
 
-    layout gives, for each kind a header may name, how many nonblank head
-    lines there are and the marker, if any.  None if a head line holds a
-    byte that is not printable ASCII, the header names no kind of layout,
-    or ``_read_ints`` refuses a piece.  The first marker must be a whole
-    line, or the reader refuses the letters of its line.
+    fh must stand at the start of a line.  None if ``_read_ints`` refuses a
+    piece; the first marker must be a whole line, or the reader refuses
+    the letters of its line.
     """
     pieces = _pieces(fh)
-    kind, want, marker, head, at, piece = "", 1, None, [], 0, b""
-    for piece in pieces:
-        at = 0
-        while len(head) < want and at < len(piece):
-            end = piece.find(b"\n", at)
-            end = len(piece) if end < 0 else end
-            line, at = piece[at:end], end + 1
-            if line.translate(None, _PRINTABLE):
-                return None
-            if line.strip(b" "):
-                head.append(line.decode())
-                kind = head[0].split()[0]
-                if kind not in layout:
-                    return None
-                want, marker = layout[kind]
-        if len(head) == want:
-            break
-    if len(head) < want:
-        return None
     after: list[bytes] = []  # the rest of the piece past the marker
 
     def body() -> Iterator[bytes]:
-        for b in itertools.chain((piece[at:],), pieces):
+        for b in pieces:
             cut = b.find(marker) if marker else -1
             end = cut + len(marker or b"")
             if cut >= 0 and b[cut - 1 : cut] in (b"", b"\n") and b[end : end + 1] in (b"", b"\n"):
@@ -132,4 +108,4 @@ def _stream(
     if (numbers := read(body())) is None:
         return None
     listing = read(itertools.chain(after, pieces)) if after else None
-    return None if after and listing is None else (kind, head, numbers, listing)
+    return None if after and listing is None else (numbers, listing)

@@ -7,7 +7,6 @@ mismatch, 2 parse, I/O or precondition errors.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from dataclasses import astuple
@@ -150,8 +149,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     The file is read in pieces by ``documents.read_document``; neither its
     text nor its lines are held while the check runs.
     """
-    with open(args.file, "rb") as fh:
-        kind, parsed = read_document(fh if fh.seekable() else io.BytesIO(fh.read()))
+    kind, parsed = read_document(args.file)
     if kind == KIND_RMGC:
         return _verify_rmgc(parsed)
     code = parsed.code if kind == KIND_SNAKE else parsed

@@ -27,16 +27,17 @@ reader hands transitions on as its array, and ``GrayCode`` and
 ``RmgcSequence`` check and pack them; the writers read a code's packed
 pushes through ``perm.push_array``.
 
-``read_document`` reads a binary file in pieces (``_reader._stream``):
-the head lines are decoded, and the integer lines after them are
-tokenised from the pieces themselves, so neither the file's text nor a
-list of its lines is held.  A file with a byte that reader does not take
-(anything but printable ASCII in the head, or anything but ASCII digits,
-spaces and newlines after it, bar one ``codewords:`` line, or a token of
-more than 18 digits) is read again as a text file reads (UTF-8,
-universal newlines).  Text goes through the same piece reader when it is
-ASCII; text it refuses is parsed line by line and token by token, so
-that the first malformed token or line is the one named.
+``read_document`` opens a file and reads the head lines that each kind's
+layout (``_LAYOUT``) names, and ``_reader._numbers`` tokenises the lines
+after them, cut at the listing marker, from pieces of the file, so
+neither its text nor a list of its lines is held.  A file with a byte
+that reader does not take (anything but printable ASCII in the head, or
+anything but ASCII digits, spaces and newlines after it, bar one
+``codewords:`` line, or a token of more than 18 digits) is read again as
+a text file reads (UTF-8, universal newlines).  Text goes through the
+same piece reader when it is ASCII; text it refuses is parsed line by
+line and token by token, so that the first malformed token or line is
+the one named.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from typing import Any, BinaryIO, Callable, Iterator
 
 import numpy as np
 
-from ._reader import _DIGITS, _NEWLINE, _SPACE, _Numbers, _stream
+from ._reader import _DIGITS, _NEWLINE, _SPACE, _Numbers, _numbers
 from .errors import ParseError, VerificationError
 from .perm import (
     METRIC_KENDALL,
@@ -63,6 +64,7 @@ from .rmgc import RmgcSequence
 _WRAP = 30  # transition tokens per line
 _CHUNK_TOKENS = 1 << 16  # about this many tokens are written at a time
 _MARKER = "codewords:"
+_HEAD_BYTES = bytes(range(0x20, 0x7F)) + b"\n"  # printable ASCII, and a line's end
 _Section = _Numbers | list[str]  # lines of integers: the piece reader's numbers, or the text lines
 
 KIND_SNAKE = "snake"
@@ -116,42 +118,55 @@ def _token_chunks(values: np.ndarray, per_line: int) -> Iterator[str]:
         yield grid[keep].tobytes().decode("ascii")
 
 
-def _nonblank(text: str) -> list[str]:
-    return [ln for ln in text.splitlines() if ln.strip()]
+def read_document(path: str) -> tuple[str, Any]:
+    """The kind of the document in the file at path, and what its parser returns.
 
-
-def read_document(fh: BinaryIO) -> tuple[str, Any]:
-    """The kind of the document in a binary file, and what its parser returns.
-
-    The file is read in pieces (``_stream``), so neither its text nor a
-    list of its lines is held.  A file the piece reader refuses is read
-    again from the start, as a text file reads (UTF-8, universal
-    newlines), and parsed as text, so every outcome, every error included,
-    is that of the text.
+    The file is read in pieces (``_read``), so neither its text nor a list
+    of its lines is held; one that cannot seek, such as a pipe, is read
+    whole first.  A file the piece reader refuses is read again from the
+    start, as a text file reads (UTF-8, universal newlines), and parsed as
+    text, so every outcome, every error included, is that of the text.
     """
-    read = _stream(fh, _LAYOUT)
-    if read is not None:
-        return read[0], _PARSERS[read[0]](*read[1:])
-    fh.seek(0)
-    text = _decoded(fh.read())
+    with open(path, "rb") as fh:
+        data = fh if fh.seekable() else io.BytesIO(fh.read())
+        read = _read(data)
+        if read is not None:
+            return read[0], _PARSERS[read[0]](*read[1:])
+        data.seek(0)  # to read it again, as a text file reads
+        text = data.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     kind = detect_kind(text)
     if kind not in _PARSERS:
         raise ParseError(f"unrecognised document kind {kind!r}")
     return kind, _parse(text, kind)
 
 
-def _decoded(data: bytes) -> str:
-    """The text that a file of these bytes reads as in text mode."""
-    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+def _read(fh: BinaryIO) -> tuple[str, list[str], _Numbers, _Numbers | None] | None:
+    """A document's kind, nonblank head lines, and the numbers of the lines
+    after them and after its marker, read from a binary file; None if a
+    head line is not printable ASCII, names no kind, or is missing, or if
+    ``_reader._numbers`` refuses the rest."""
+    kind, want, marker, head = "", 1, None, []
+    while len(head) < want:
+        line = fh.readline()
+        if not line or line.translate(None, _HEAD_BYTES):
+            return None
+        if line.strip(b" \n"):
+            head.append(line.decode().rstrip("\n"))
+            kind = head[0].split()[0]
+            if kind not in _LAYOUT:
+                return None
+            want, marker = _LAYOUT[kind]
+    numbers = _numbers(fh, marker)
+    return None if numbers is None else (kind, head, *numbers)
 
 
 def _parse(text: str, kind: str) -> Any:
     """What the parser of kind makes of a text: read in pieces if the piece
     reader takes it, else line by line, so that the first malformed token
     or line is the one named."""
-    read = _stream(io.BytesIO(text.encode()), _LAYOUT) if text.isascii() else None
+    read = _read(io.BytesIO(text.encode())) if text.isascii() else None
     if read is None:
-        lines = _nonblank(text)
+        lines = [ln for ln in text.splitlines() if ln.strip()]
         want, marker = _LAYOUT[kind]
         cut = lines.index(_MARKER, want) if marker and _MARKER in lines[want:] else len(lines)
         read = (kind, lines[:want], lines[want:cut], lines[cut + 1 :] if cut < len(lines) else None)

@@ -222,7 +222,9 @@ def walk_segments(start: Perm, pushes: bytes | tuple[int, ...]) -> Iterator[np.n
 @lru_cache(maxsize=16)
 def _end_positions(n: int, pushes: bytes | tuple[int, ...]) -> tuple[int, ...]:
     """Which start position each position of a walk's last word holds the value of."""
-    return tuple(_walk(tuple(range(n)), pushes)[-1].tolist())
+    for segment in walk_segments(tuple(range(n)), pushes):  # not the whole walk at once
+        pass
+    return tuple(segment[-1].tolist())
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pairdist import _ranks
+from ._pairdist import _key, _ranks
 from .perm import identity, pack_pushes, walk_segments
 
 BASE_N = 3
@@ -136,5 +136,5 @@ def complete_and_cyclic(r: RmgcSequence) -> tuple[bool, bool]:
     start = identity(r.n)
     seen = np.zeros(len(r.seq), dtype=bool)
     for segment in walk_segments(start, r.seq):
-        seen[_ranks(segment[:-1].T.astype(np.int8) - 1)] = True
+        seen[_ranks(_key(segment[:-1], False))] = True
     return bool(seen.all()), tuple(segment[-1].tolist()) == start

@@ -120,7 +120,10 @@ def verify_code(code: GrayCode) -> SnakeReport:
     and the array certificate takes it.  A longer one is certified from
     ``code.blocks()``, one segment at a time, and the same pass keeps the
     last codeword for the closure check; no codeword array is made, and
-    ``code._chain`` is not touched.
+    ``code._chain`` is not touched.  The segmented path gives the same
+    certificate at every size: the one-segment array path exists only for
+    perfbench's trace counters, which span ``GrayCode._codewords`` and
+    ``min_pairwise_*``, and goes when the tracer does.
     """
     m = code.size
     kendall = code.metric_tag == METRIC_KENDALL

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,20 @@ def test_construct_and_verify_walk_each_codeword_once(monkeypatch):
         assert walked.count(code.transitions) == 1
         rows = sum(len(t) + 1 for t in walked)
         assert rows <= code.size + 1 + sum(len(t) + 1 for t in block_tuples)
+
+
+def test_end_of_thm1_n12_walks_one_segment_at_a_time():
+    code = snake_from_rmgc(12)
+    perm._end_positions.cache_clear()
+    tracemalloc.start()
+    try:
+        end = code.end
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert end == code.start
+    # The whole walk, 522,721 words of 12 bytes, would be 6.3 MB.
+    assert peak < 3 * 2**20
 
 
 def test_ksnake_snake_n7_verifies_exhaustively():

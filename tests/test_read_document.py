@@ -6,8 +6,8 @@ outcome of ``permsnake verify`` (exit code, stdout and stderr) must be
 the one the text path gives: the file read as a text file reads, then
 parsed line by line.  The oracle below is the same command with the
 piece reader refusing every file.  Pieces are cut small here as well, so
-that lines, the head and the ``codewords:`` marker fall across piece
-edges.
+that lines and the ``codewords:`` marker fall across piece edges, and a
+start line is longer than a piece.
 """
 import io
 
@@ -40,6 +40,7 @@ def variants():
         yield f"{name} cr", doc.replace(b"\n", b"\r")
         yield f"{name} tabs", edit(doc, 2 - (name == "rmgc"), b" ", b"\t")
         yield f"{name} blank lines", b"\n \n" + doc.replace(b"\n", b"\n\n  \n", 4)
+        yield f"{name} space-only lines after the header", doc.replace(b"\n", b"\n \n   \n", 1)
         yield f"{name} t pushes", edit(doc, 2 - (name == "rmgc"), b" ", b" t")
         yield f"{name} non-utf-8 byte", edit(doc, 2 - (name == "rmgc"), b" ", b" \xff")
         yield f"{name} non-utf-8 header", edit(doc, 0, b"=", b"\xff=")
@@ -63,6 +64,8 @@ def variants():
     for d in range(-12, 3):
         pad = 128 + d - at % 64
         yield f"marker at 128{d:+}", SNAKE[:at] + b" " * (pad - 1) + b"\n" + SNAKE[at:]
+    wide = " ".join(map(str, range(1, 2001))).encode()  # 8,892 bytes
+    yield "one word at n=2000", b"snake n=2000 size=1 metric=linf cyclic=false method=x\n" + wide + b"\n"
     yield "empty", b""
     yield "blank", b" \n\n"
     yield "unknown kind", b"foo n=3\n1 2 3\n"
@@ -85,7 +88,7 @@ def verify_file(tmp_path, capsys, data):
 def test_verify_reads_as_the_text_path(tmp_path, capsys, monkeypatch, name, piece):
     monkeypatch.setattr(_reader, "_SLICE", piece)
     got = verify_file(tmp_path, capsys, VARIANTS[name])
-    monkeypatch.setattr(documents, "_stream", lambda fh, layout: None)
+    monkeypatch.setattr(documents, "_read", lambda fh: None)
     assert got == verify_file(tmp_path, capsys, VARIANTS[name])
 
 
@@ -94,14 +97,17 @@ def test_verify_reads_as_the_text_path(tmp_path, capsys, monkeypatch, name, piec
     [
         ("snake", False), ("rmgc", False), ("ksnake", False), ("snake blank lines", False),
         ("snake no final newline", False), ("listing blank lines", False), ("marker last", False),
-        ("snake bad push", False), ("listing mismatch", False),
+        ("snake bad push", False), ("listing mismatch", False), ("one word at n=2000", False),
+        ("snake space-only lines after the header", False),
+        ("ksnake space-only lines after the header", False),
+        ("rmgc space-only lines after the header", False),
         ("snake crlf", True), ("snake tabs", True), ("snake t pushes", True),
         ("snake non-utf-8 byte", True), ("snake 19 digits", True), ("listing t", True),
         ("marker not a line", True), ("marker twice", True), ("unknown kind", True), ("empty", True),
     ],
 )
 def test_the_piece_reader_takes_digits_and_spaces(name, refused):
-    assert (documents._stream(io.BytesIO(VARIANTS[name]), documents._LAYOUT) is None) == refused
+    assert (documents._read(io.BytesIO(VARIANTS[name])) is None) == refused
 
 
 def test_a_non_utf8_byte_is_named_as_the_text_file_names_it(tmp_path, capsys):
