@@ -45,10 +45,10 @@ from a dict of the rows.
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from ._pairscan import (
     VIOLATION_CAP,
     Violation,
@@ -62,10 +62,16 @@ from .perm import _SEGMENT
 
 _MAX_RANK_N = 20  # 20! < 2**63: every rank fits an int64
 _BITMAP_N = 13  # the largest n whose lookup is a rank window
-_BIT = np.array([1 << b for b in range(8)], dtype=np.uint8)  # bit b of a bitmap byte
-_FACT = np.array([math.factorial(k) for k in range(_MAX_RANK_N + 1)], dtype=np.int64)
 _CHUNK = 1 << 12  # codewords per batch of ball lookups
 _CELLS = 1 << 15  # neighbour ranks per table
+_HUGE = 1 << 22  # numpy asks for huge pages for arrays of this many bytes and up
+
+
+@cache
+def _fact() -> np.ndarray:
+    """k! for k = 0.._MAX_RANK_N as int64, made on first use: importing loads no numpy."""
+    return np.array([math.factorial(k) for k in range(_MAX_RANK_N + 1)], dtype=np.int64)
+
 
 class Certificate(NamedTuple):
     """The exact pairwise verdict on one list of codewords.
@@ -207,7 +213,7 @@ def _ranks(p: np.ndarray) -> np.ndarray:
         digit = np.zeros(p.shape[1], dtype=np.int8)
         for b in range(a + 1, n):
             digit += p[b] < p[a]
-        rank += digit * _FACT[n - 1 - a]
+        rank += digit * _fact()[n - 1 - a]
     return rank
 
 
@@ -220,7 +226,7 @@ def _unrank(k: np.ndarray, n: int) -> np.ndarray:
     """
     p = np.zeros((n, len(k)), dtype=np.int8)
     for a in range(n - 1):
-        p[a] = k // _FACT[n - 1 - a] % (n - a)
+        p[a] = k // _fact()[n - 1 - a] % (n - a)
     for a in reversed(range(n - 1)):
         p[a + 1 :] += p[a + 1 :] >= p[a]
     return p
@@ -245,7 +251,7 @@ def _ball(
     """
     a = np.arange(n := len(inv))
     # Signed steps by the positions of a pair.
-    signed = _FACT[n - 1 - np.minimum.outer(a, a)] * np.sign(a - a[:, None])
+    signed = _fact()[n - 1 - np.minimum.outer(a, a)] * np.sign(a - a[:, None])
     step = signed.ravel()[inv[:-1] * np.int16(n) + inv[1:]]
     groups = [(v, v + 2) for v in range(n - 1) if v not in avoid]
     if lead is not None:
@@ -278,6 +284,7 @@ def _near(sranks: np.ndarray, runs: np.ndarray, n: int, kendall: bool) -> np.nda
     the first mark.
     """
     near: np.ndarray | None = None
+    bit = np.array([1 << b for b in range(8)], dtype=np.uint8)  # bit b of a bitmap byte
 
     def mark(positions: np.ndarray) -> None:
         nonlocal near
@@ -289,7 +296,7 @@ def _near(sranks: np.ndarray, runs: np.ndarray, n: int, kendall: bool) -> np.nda
         # Most bytes of a sparse window are zero: bit-test only the others.
         byte = bits[q >> 3]
         at = np.flatnonzero(byte)
-        return at[byte[at] & _BIT[q[at] & 7] != 0]
+        return at[byte[at] & bit[q[at] & 7] != 0]
 
     def probe(c0: int, c1: int, lo: int, member: Callable = bytes_first, avoid=(), lead=None) -> None:
         # Sorted codewords [c0, c1) probe with their ranks less lo.
@@ -306,7 +313,18 @@ def _near(sranks: np.ndarray, runs: np.ndarray, n: int, kendall: bool) -> np.nda
         probe(0, len(sranks), 0, lambda q: np.flatnonzero(sranks[sranks.searchsorted(q, "right") - 1] == q))
     else:
         slab = math.factorial(n - 1)
-        bits = np.zeros(-(-slab // 8), dtype=np.uint8)
+        nbytes = -(-slab // 8)
+        if nbytes >= _HUGE:
+            # numpy asks for huge pages for an array this large, and then one
+            # byte written in a 2-MB frame of this sparse window commits the
+            # whole frame, so the window is an anonymous map.  mmap is
+            # imported only here: a library mapped at start-up moves where
+            # every later array falls, and so which of them get huge pages.
+            import mmap
+
+            bits = np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.uint8)
+        else:
+            bits = np.zeros(nbytes, dtype=np.uint8)
         edges = np.searchsorted(sranks, slab * np.arange(n + 1))  # first codeword of each slab
         size = np.diff(edges)
         for s in np.flatnonzero(size).tolist():
@@ -314,7 +332,7 @@ def _near(sranks: np.ndarray, runs: np.ndarray, n: int, kendall: bool) -> np.nda
             held = np.array_split(sranks[edges[s] : edges[s + 1]], size[s] // _CHUNK + 1)
             for x in held:
                 x = x - lo
-                np.bitwise_or.at(bits, x >> 3, _BIT[x & 7])
+                np.bitwise_or.at(bits, x >> 3, bit[x & 7])
             probe(edges[s], edges[s + 1], lo, avoid=(s - 1, s))
             # Across each edge, from the smaller slab.
             if s and size[s - 1] <= size[s]:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-import numpy as np
-
+from ._numpy import np
 from .perm import Perm
 
 Violation = tuple[tuple[int, int], int]

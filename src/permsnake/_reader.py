@@ -10,9 +10,9 @@ take makes it refuse the file.
 from __future__ import annotations
 
 import itertools
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, TypeAlias
 
-import numpy as np
+from ._numpy import np
 
 # Bytes read at a time, up to the next newline.  A piece's temporaries are
 # tens of times its size: verify of the thm2 n=9 document with its listing
@@ -21,10 +21,9 @@ import numpy as np
 # x86-64 VM).
 _SLICE = 1 << 15
 _MAX_DIGITS = 18  # the longest token the reader takes: 10**18 < 2**63
-_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
-_SPACE, _NEWLINE = ord(" "), ord("\n")
+_ZERO, _NINE, _SPACE, _NEWLINE = b"09 \n"
 
-_Numbers = tuple[np.ndarray, np.ndarray]  # what _read_ints reads: values, tokens per line
+_Numbers: TypeAlias = "tuple[np.ndarray, np.ndarray]"  # what _read_ints reads: values, tokens per line
 
 
 def _read_ints(slices: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | None:
@@ -45,7 +44,7 @@ def _read_ints(slices: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | 
     """
     values, counts = [], []
     for b in slices:
-        digit = (b >= _DIGITS[0]) & (b <= _DIGITS[-1])
+        digit = (b >= _ZERO) & (b <= _NINE)
         if not (digit | (b == _SPACE) | (b == _NEWLINE)).all():
             return None
         # Each token's first digit, and the byte just past its last.
@@ -58,7 +57,7 @@ def _read_ints(slices: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray] | 
         v = np.zeros(len(starts), dtype=np.int64)
         for col in range(width.max(initial=0)):
             more = width > col
-            v[more] = v[more] * 10 + (b[starts[more] + col] - _DIGITS[0])
+            v[more] = v[more] * 10 + (b[starts[more] + col] - _ZERO)
         values.append(v.astype(np.min_scalar_type(v.max(initial=0))))
         counts.append(np.diff(np.searchsorted(starts, np.flatnonzero(b == _NEWLINE)), prepend=0))
     if not values:

@@ -43,11 +43,10 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Any, BinaryIO, Callable, Iterator
+from typing import Any, BinaryIO, Callable, Iterator, TypeAlias
 
-import numpy as np
-
-from ._reader import _DIGITS, _NEWLINE, _SPACE, _Numbers, _numbers
+from ._numpy import np
+from ._reader import _NEWLINE, _SPACE, _Numbers, _numbers
 from .errors import ParseError, VerificationError
 from .perm import (
     METRIC_KENDALL,
@@ -65,7 +64,7 @@ _WRAP = 30  # transition tokens per line
 _CHUNK_TOKENS = 1 << 16  # about this many tokens are written at a time
 _MARKER = "codewords:"
 _HEAD_BYTES = bytes(range(0x20, 0x7F)) + b"\n"  # printable ASCII, and a line's end
-_Section = _Numbers | list[str]  # lines of integers: the piece reader's numbers, or the text lines
+_Section: TypeAlias = "_Numbers | list[str]"  # lines of integers: the piece reader's numbers, or the text lines
 
 KIND_SNAKE = "snake"
 KIND_KSNAKE = "ksnake"
@@ -101,6 +100,7 @@ def _token_chunks(values: np.ndarray, per_line: int) -> Iterator[str]:
     '3 10\\n2 123\\n7\\n'
     """
     flat = values.reshape(-1)
+    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
     step = max(1, _CHUNK_TOKENS // per_line) * per_line
     for c0 in range(0, len(flat), step):
         v = flat[c0 : c0 + step]
@@ -109,7 +109,7 @@ def _token_chunks(values: np.ndarray, per_line: int) -> Iterator[str]:
         keep = np.ones(grid.shape, dtype=bool)
         for col in range(width):
             scale = 10 ** (width - 1 - col)
-            grid[:, col] = _DIGITS[v // scale % 10]
+            grid[:, col] = digits[v // scale % 10]
             if col < width - 1:
                 keep[:, col] = v >= scale
         grid[:, width] = _SPACE

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import InvalidTransitionError
 
 Perm = tuple[int, ...]

@@ -28,8 +28,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from ._pairdist import _key, _ranks
 from .perm import identity, pack_pushes, walk_segments
 

@@ -135,6 +135,62 @@ def test_construct_rmgc_10_stays_small(tmp_path):
         assert fh.readline() == "rmgc n=10 len=3628800\n"
 
 
+# Runs main on its arguments as the console script does, then says on
+# stderr whether numpy's core was loaded by the time it returned.
+PROBE = """
+import sys
+from permsnake.cli import main
+try:
+    code = main(sys.argv[1:])
+finally:
+    sys.stdout.flush()
+    print(f"numpy._core loaded: {'numpy._core' in sys.modules}", file=sys.stderr)
+raise SystemExit(code)
+"""
+
+
+def probe(*argv):
+    """(exit code, stdout, stderr, whether numpy loaded) of one fresh permsnake process."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    got = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    *err, flag = got.stderr.splitlines(keepends=True)
+    assert flag.startswith("numpy._core loaded: "), got.stderr
+    return got.returncode, got.stdout, "".join(err), flag.strip().endswith("True")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sizes", "4", "5"),
+        ("search", "ksnake", "--n", "5", "--target", "58", "--budget", "50000"),
+        ("construct", "thm1", "--n", "14"),
+    ],
+    ids=["sizes", "search-ksnake-not-found", "construct-thm1-n14-exit-2"],
+)
+def test_commands_with_no_array_work_never_load_numpy(capsys, argv):
+    rc, stdout, stderr, loaded = probe(*argv)
+    assert (rc, stdout, stderr) == run(capsys, *argv)
+    assert not loaded
+
+
+def test_help_never_loads_numpy():
+    rc, stdout, stderr, loaded = probe("--help")
+    assert (rc, stderr, loaded) == (0, "", False)
+    assert stdout.startswith("usage: permsnake")
+
+
+def test_verify_loads_numpy_and_gives_the_in_process_verdict(tmp_path, capsys):
+    doc = tmp_path / "thm1_n7.txt"
+    assert run(capsys, "construct", "thm1", "--n", "7", "--out", str(doc))[0] == 0
+    rc, stdout, stderr, loaded = probe("verify", str(doc))
+    assert (rc, stdout, stderr) == run(capsys, "verify", str(doc))
+    assert "valid=true size=" in stdout and loaded
+
+
 def test_construct_blocks_match_goldens(tmp_path, capsys):
     for variant, rows in ((1, FIG1_ROWS), (2, FIG2_ROWS)):
         out = tmp_path / f"block{variant}.txt"

@@ -258,3 +258,16 @@ def test_close_pairs_at_bit_0_and_bit_7_of_a_byte(n, metric):
     rows = ends[0] + ends[7]
     best, violations = assert_certified_as_scanned(rows, kendall, {0, 1, 2, 3})
     assert best == 1 and {((0, 1), 1), ((2, 3), 1)} <= set(violations)
+
+
+@pytest.mark.parametrize("n, mapped", [(11, False), (12, True), (13, True)])
+def test_a_window_of_4_mb_and_up_is_an_anonymous_map(monkeypatch, n, mapped):
+    # numpy asks for huge pages for arrays of 4 MB and up, and a sparse
+    # window on them commits 2 MB for each frame it touches.
+    import mmap
+
+    sizes, real = [], mmap.mmap
+    monkeypatch.setattr(mmap, "mmap", lambda *args: sizes.append(args[1]) or real(*args))
+    rows = np.array([range(1, n + 1), range(n, 0, -1)])
+    assert min_pairwise_linf(rows).min_distance == n - 1
+    assert sizes == ([math.factorial(n - 1) // 8] if mapped else [])

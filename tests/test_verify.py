@@ -8,8 +8,10 @@ from permsnake.constructions import (
     snake_from_rmgc,
     snake_upper_bound,
 )
+from permsnake.perm import identity, kendall_distance, linf_distance, reachable_table
 from permsnake.verify import (
     SnakeReport,
+    _ball_masks,
     exhaustive_max_snake,
     verify_code,
 )
@@ -114,6 +116,17 @@ def test_oracle_respects_bound():
 def test_oracle_budget_is_best_effort():
     best, _ = exhaustive_max_snake(4, "linf", cyclic=True, node_budget=50)
     assert 0 <= best <= 6
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("metric, dist", [("linf", linf_distance), ("kendall", kendall_distance)])
+def test_oracle_ball_masks_match_the_distances(n, metric, dist):
+    # The oracle's masks come from the certificate's neighbour tables; a
+    # brute-force build from the distance functions must give the same.
+    ids, _ = reachable_table(identity(n), range(n, 1, -1))
+    perms = list(ids)
+    want = [sum(1 << u for u, q in enumerate(perms) if dist(p, q) < 2) for p in perms]
+    assert _ball_masks(perms, metric == "kendall") == want
 
 
 def test_oracle_argument_checks():
