@@ -45,6 +45,7 @@ from a dict of the rows.
 from __future__ import annotations
 
 import math
+import mmap
 from functools import cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -64,7 +65,6 @@ _MAX_RANK_N = 20  # 20! < 2**63: every rank fits an int64
 _BITMAP_N = 13  # the largest n whose lookup is a rank window
 _CHUNK = 1 << 12  # codewords per batch of ball lookups
 _CELLS = 1 << 15  # neighbour ranks per table
-_HUGE = 1 << 22  # numpy asks for huge pages for arrays of this many bytes and up
 
 
 @cache
@@ -313,18 +313,13 @@ def _near(sranks: np.ndarray, runs: np.ndarray, n: int, kendall: bool) -> np.nda
         probe(0, len(sranks), 0, lambda q: np.flatnonzero(sranks[sranks.searchsorted(q, "right") - 1] == q))
     else:
         slab = math.factorial(n - 1)
-        nbytes = -(-slab // 8)
-        if nbytes >= _HUGE:
-            # numpy asks for huge pages for an array this large, and then one
-            # byte written in a 2-MB frame of this sparse window commits the
-            # whole frame, so the window is an anonymous map.  mmap is
-            # imported only here: a library mapped at start-up moves where
-            # every later array falls, and so which of them get huge pages.
-            import mmap
-
-            bits = np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.uint8)
-        else:
-            bits = np.zeros(nbytes, dtype=np.uint8)
+        # An anonymous map kept off huge pages: numpy asks for huge pages
+        # for arrays of 4 MB and up, and one bit set in a 2-MB frame of this
+        # sparse window would then commit the whole frame.
+        window = mmap.mmap(-1, -(-slab // 8))
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):
+            window.madvise(mmap.MADV_NOHUGEPAGE)
+        bits = np.frombuffer(window, dtype=np.uint8)
         edges = np.searchsorted(sranks, slab * np.arange(n + 1))  # first codeword of each slab
         size = np.diff(edges)
         for s in np.flatnonzero(size).tolist():

@@ -20,6 +20,7 @@ with a codeword but not its bit marks nothing, and close pairs at bit 0
 and bit 7 of a byte are both found.
 """
 import math
+import mmap
 import random
 
 import numpy as np
@@ -260,14 +261,18 @@ def test_close_pairs_at_bit_0_and_bit_7_of_a_byte(n, metric):
     assert best == 1 and {((0, 1), 1), ((2, 3), 1)} <= set(violations)
 
 
-@pytest.mark.parametrize("n, mapped", [(11, False), (12, True), (13, True)])
-def test_a_window_of_4_mb_and_up_is_an_anonymous_map(monkeypatch, n, mapped):
-    # numpy asks for huge pages for arrays of 4 MB and up, and a sparse
-    # window on them commits 2 MB for each frame it touches.
-    import mmap
+@pytest.mark.skipif(not hasattr(mmap, "MADV_NOHUGEPAGE"), reason="no madvise advice for huge pages")
+@pytest.mark.parametrize("n", [3, 11, 13])
+def test_the_rank_window_is_an_anonymous_map_off_huge_pages(monkeypatch, n):
+    # On huge pages a sparse window commits 2 MB for each frame it touches.
+    advised = []
 
-    sizes, real = [], mmap.mmap
-    monkeypatch.setattr(mmap, "mmap", lambda *args: sizes.append(args[1]) or real(*args))
+    class Window(mmap.mmap):
+        def madvise(self, option, *args):
+            advised.append((len(self), option))
+            return super().madvise(option, *args)
+
+    monkeypatch.setattr(mmap, "mmap", Window)
     rows = np.array([range(1, n + 1), range(n, 0, -1)])
     assert min_pairwise_linf(rows).min_distance == n - 1
-    assert sizes == ([math.factorial(n - 1) // 8] if mapped else [])
+    assert advised == [(-(-math.factorial(n - 1) // 8), mmap.MADV_NOHUGEPAGE)]
