@@ -45,7 +45,6 @@ from a dict of the rows.
 from __future__ import annotations
 
 import math
-import mmap
 from functools import cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -315,7 +314,10 @@ def _near(sranks: np.ndarray, runs: np.ndarray, n: int, kendall: bool) -> np.nda
         slab = math.factorial(n - 1)
         # An anonymous map kept off huge pages: numpy asks for huge pages
         # for arrays of 4 MB and up, and one bit set in a 2-MB frame of this
-        # sparse window would then commit the whole frame.
+        # sparse window would then commit the whole frame.  Like numpy, mmap
+        # loads with the first array work, not with every command.
+        import mmap
+
         window = mmap.mmap(-1, -(-slab // 8))
         if hasattr(mmap, "MADV_NOHUGEPAGE"):
             window.madvise(mmap.MADV_NOHUGEPAGE)
