@@ -28,8 +28,9 @@ order, slices of one (m, n) array or the segments of a code's walk.
   run as near.  Slab s holds the ranks whose key leads with the value
   s.  Only pairs s-1 and s move that value, so a pair inside slab s
   swaps neither, and one across the edge of slabs s and s+1 swaps pair
-  s.  Up to n = 13 the walk looks slab by slab in one reused bitmap,
-  (n-1)! bits (60 MB at n = 13); above, one pass in all sorted ranks.
+  s.  Up to n = 14 the walk looks slab by slab in one reused bitmap,
+  (n-1)! bits (778 MB of address space at n = 14, of which only the
+  pages written count); above, one pass in all sorted ranks.
   Each pair is looked up from one end only.
 
 Both codewords of every close pair are near, so the first VIOLATION_CAP
@@ -61,7 +62,7 @@ from ._pairscan import (
 from .perm import _SEGMENT
 
 _MAX_RANK_N = 20  # 20! < 2**63: every rank fits an int64
-_BITMAP_N = 13  # the largest n whose lookup is a rank window
+_BITMAP_N = 14  # the largest n whose lookup is a rank window
 _CHUNK = 1 << 12  # codewords per batch of ball lookups
 _CELLS = 1 << 15  # neighbour ranks per table
 
@@ -275,7 +276,7 @@ def _ball(
 def _near(sranks: np.ndarray, runs: np.ndarray, n: int, kendall: bool) -> np.ndarray:
     """The sorted positions, in rank order, of every codeword within distance 1 of another.
 
-    Each batch of sorted ranks is unranked into its keys.  Up to n = 13
+    Each batch of sorted ranks is unranked into its keys.  Up to n = 14
     pass s looks up neighbours in slab s: its own, and across each edge
     those of the smaller slab; above, one pass looks up whole balls.  The
     window is filled and cleared a batch at a time.  The walk never stops
@@ -314,11 +315,15 @@ def _near(sranks: np.ndarray, runs: np.ndarray, n: int, kendall: bool) -> np.nda
         slab = math.factorial(n - 1)
         # An anonymous map kept off huge pages: numpy asks for huge pages
         # for arrays of 4 MB and up, and one bit set in a 2-MB frame of this
-        # sparse window would then commit the whole frame.  Like numpy, mmap
-        # loads with the first array work, not with every command.
+        # sparse window would then commit the whole frame.  The map is
+        # private, so a page that probes only read maps the zero page and
+        # only written pages count; a shared map is shmem, where each page
+        # read is a real one.  Like numpy, mmap loads with the first array
+        # work, not with every command.
         import mmap
 
-        window = mmap.mmap(-1, -(-slab // 8))
+        private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+        window = mmap.mmap(-1, -(-slab // 8), **private)
         if hasattr(mmap, "MADV_NOHUGEPAGE"):
             window.madvise(mmap.MADV_NOHUGEPAGE)
         bits = np.frombuffer(window, dtype=np.uint8)

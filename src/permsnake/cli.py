@@ -45,7 +45,7 @@ from .rmgc import RmgcSequence, build_rmgc, complete_and_cyclic
 from .verify import SnakeReport, exhaustive_max_snake, verify_code
 
 ABSENT = "—"  # table placeholder for sizes without a construction
-SIZES_MAX_N = 100  # sizes tabulates n in 4..100; thm1 stops at RMGC_SNAKE_MAX_N = 13
+SIZES_MAX_N = 100  # sizes tabulates n in 4..100; thm1 stops at RMGC_SNAKE_MAX_N = 14
 # construct rmgc checks completeness and closure up to this n.  The check
 # is what limits it: it walks and ranks all n! words, about 0.1 s at n=9,
 # while at n=10 it would add 0.8-1.0 s to a 0.3-s command (see README).

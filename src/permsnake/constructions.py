@@ -27,7 +27,7 @@ from .blocks import ksnake_block, rmgc_block
 from .perm import METRIC_LINF, GrayCode, Perm, apply_transition, check_perm
 from .rmgc import RmgcSequence, build_rmgc
 
-RMGC_SNAKE_MAX_N = 13  # n=13 materialises 3,659,040 codewords
+RMGC_SNAKE_MAX_N = 14  # n=14 materialises 25,436,880 codewords; its window maps 778 MB
 
 
 @dataclass(frozen=True)

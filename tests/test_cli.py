@@ -1,8 +1,10 @@
 import contextlib
 import decimal
+import errno
 import hashlib
 import io
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -167,9 +169,9 @@ def probe(*argv):
     [
         ("sizes", "4", "5"),
         ("search", "ksnake", "--n", "5", "--target", "58", "--budget", "50000"),
-        ("construct", "thm1", "--n", "14"),
+        ("construct", "thm1", "--n", "15"),
     ],
-    ids=["sizes", "search-ksnake-not-found", "construct-thm1-n14-exit-2"],
+    ids=["sizes", "search-ksnake-not-found", "construct-thm1-n15-exit-2"],
 )
 def test_commands_with_no_array_work_never_load_numpy(capsys, argv):
     rc, stdout, stderr, loaded = probe(*argv)
@@ -290,6 +292,19 @@ def test_verify_malformed_documents_exit_2_with_one_line(tmp_path, capsys):
         assert rc == 2, name
         assert stdout == "" and len(stderr.splitlines()) == 1, name
         assert stderr.startswith("error: ") and "Traceback" not in stderr, name
+
+
+def test_verify_exits_2_with_one_line_when_the_rank_window_is_refused(tmp_path, capsys, monkeypatch):
+    # A host that cannot map the window (778 MB of address space at n=14)
+    # refuses the map with ENOMEM.
+    doc = tmp_path / "thm1_n7.txt"
+    assert run(capsys, "construct", "thm1", "--n", "7", "--out", str(doc))[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    assert run(capsys, "verify", str(doc)) == (2, "", "error: [Errno 12] Cannot allocate memory\n")
 
 
 def test_malformed_ksnake_files_exit_2_with_one_line(tmp_path, capsys):

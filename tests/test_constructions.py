@@ -93,7 +93,7 @@ def test_rmgc_snake_rejects_out_of_range():
     with pytest.raises(ValueError):
         snake_from_rmgc(5)
     with pytest.raises(ValueError):
-        snake_from_rmgc(14)
+        snake_from_rmgc(15)
 
 
 def test_rmgc_snake_n10_exact_plus_structure():

@@ -1,10 +1,10 @@
 """The ball certificate's rank lookup at its slab edges.
 
 Slab s is the (n-1)! ranks whose key leads with the 0-based value s.
-Up to n = 13 the certificate looks ranks up in a window of one slab,
+Up to n = 14 the certificate looks ranks up in a window of one slab,
 and a pair across the edge of slabs s and s+1, which swaps pair s, is
 looked up from whichever of the two slabs holds fewer codewords.  For
-n = 14 and n = 20 one pass walks each batch of codewords' whole balls
+n = 15 and n = 20 one pass walks each batch of codewords' whole balls
 and binary-searches all the sorted ranks, whatever the slabs; at n = 20
 the last slab holds ranks next to 20! - 1, the top of what an int64
 rank holds.
@@ -97,7 +97,7 @@ def window_hit(arr, kendall):
 
 @pytest.mark.parametrize("case", ["edge", "slab 0", "last slab"])
 @pytest.mark.parametrize("metric", [METRIC_LINF, METRIC_KENDALL])
-@pytest.mark.parametrize("n", [9, 11, 12, 13, 14, 20])
+@pytest.mark.parametrize("n", [9, 11, 12, 13, 14, 15, 20])
 def test_window_finds_the_planted_pair(n, metric, case):
     code = planted(n, metric, case)
     arr = code._codewords
@@ -262,12 +262,19 @@ def test_close_pairs_at_bit_0_and_bit_7_of_a_byte(n, metric):
 
 
 @pytest.mark.skipif(not hasattr(mmap, "MADV_NOHUGEPAGE"), reason="no madvise advice for huge pages")
+@pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE"), reason="no private maps")
 @pytest.mark.parametrize("n", [3, 11, 13])
 def test_the_rank_window_is_an_anonymous_map_off_huge_pages(monkeypatch, n):
     # On huge pages a sparse window commits 2 MB for each frame it touches.
-    advised = []
+    # A shared anonymous map is shmem, where a page that probes only read
+    # is a real page; a private one maps those reads to the zero page.
+    flags, advised = [], []
 
     class Window(mmap.mmap):
+        def __new__(cls, *args, **kwargs):
+            flags.append(kwargs.get("flags", mmap.MAP_SHARED))  # mmap's default
+            return super().__new__(cls, *args, **kwargs)
+
         def madvise(self, option, *args):
             advised.append((len(self), option))
             return super().madvise(option, *args)
@@ -276,3 +283,4 @@ def test_the_rank_window_is_an_anonymous_map_off_huge_pages(monkeypatch, n):
     rows = np.array([range(1, n + 1), range(n, 0, -1)])
     assert min_pairwise_linf(rows).min_distance == n - 1
     assert advised == [(-(-math.factorial(n - 1) // 8), mmap.MADV_NOHUGEPAGE)]
+    assert flags == [mmap.MAP_PRIVATE]

@@ -187,10 +187,10 @@ def test_slab_split_of_the_ball(n, kendall_metric):
 def listed(row, kendall_metric, by_slab):
     """The ranks that one codeword looks up, with repeats.
 
-    By slab (the walk up to n = 13), slab s probes its oriented ball
+    By slab (the walk up to n = 14), slab s probes its oriented ball
     without pairs s-1 and s, and the pairs across the edge to slab s+1
     are taken here from the lower slab.  Otherwise (the one pass above
-    n = 13) each codeword probes its whole oriented ball.
+    n = 14) each codeword probes its whole oriented ball.
     """
     n = len(row)
     rows = np.array([row], dtype=np.uint8)
