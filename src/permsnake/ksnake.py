@@ -18,7 +18,8 @@ format is read and written in ``documents``; ``parse_ksnake`` and
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from itertools import repeat
+from typing import Iterator, Sequence
 
 from .documents import format_ksnake, parse_ksnake_fields  # re-exported
 from .errors import VerificationError
@@ -138,9 +139,10 @@ def search_ksnake(
 
     Cosets of at most _NUMBERED_COSET = 8!/2 permutations (n <= 8) are
     numbered once by ``perm.reachable_table`` and searched over integer
-    ids; larger cosets (n >= 9) keep tuple vertices.  The vertex kind
-    changes neither node order nor node count.  The path is one dict from
-    each vertex to the move that reached it, in path order.
+    ids; larger cosets (n >= 9) keep tuple vertices, and a frame makes
+    each child only when it is tried.  The vertex kind changes neither
+    node order nor node count.  The path is one dict from each vertex to
+    the move that reached it, in path order.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
@@ -160,37 +162,35 @@ def search_ksnake(
 
     # Vertices that can close the cycle: preimages of the start.
     closers = {undo_transition(start, i): i for i in moves}
-    # Frames are popped from the end, so moves are stored in reverse order.
-    back = moves[::-1]
     if math.factorial(n) // 2 <= _NUMBERED_COSET:
-        ids, succ = reachable_table(start, back)
+        ids, succ = reachable_table(start, moves)
         closers = {ids[p]: i for p, i in closers.items()}
         root: Perm | int = 0
 
-        def children(v: int) -> list[tuple[int, int]]:
-            return list(succ[v])
+        def children(v: int) -> Iterator[tuple[int, int]]:
+            return iter(succ[v])
 
     else:
         root = start
 
-        def children(p: Perm) -> list[tuple[int, Perm]]:
-            return [(i, apply_transition(p, i)) for i in back]
+        def children(p: Perm) -> Iterator[tuple[int, Perm]]:
+            return zip(moves, map(apply_transition, repeat(p), moves))
 
     nodes = 0
     exhausted = True
     path: dict[Perm | int, int] = {root: 0}  # vertex -> the move to it (none for the root)
     found: list[int] | None = None
 
-    # Iterative DFS; each stack frame holds the still-unexplored moves of
-    # the path vertex at the same depth.
+    # Iterative DFS; each stack frame yields the still-untried (move, child)
+    # pairs of the path vertex at the same depth, in move order.
     stack = [children(root)]
     while stack:
-        frame = stack[-1]
-        if not frame:
+        step = next(stack[-1], None)
+        if step is None:
             stack.pop()
             path.popitem()
             continue
-        move, child = frame.pop()
+        move, child = step
         if child in path:
             continue
         nodes += 1

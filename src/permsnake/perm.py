@@ -247,10 +247,9 @@ class GrayCode:
     ``transitions`` is the pushes as a tuple of ints, built only when
     asked for; no construct, verify or write path asks.
 
-    ``_chain`` walks the pushes once into one array of every word they
-    visit, uint8 up to n = 255; ``_codewords`` is its first ``size`` rows
-    and ``codewords()`` a list-of-tuples view.  ``blocks()`` gives the
-    same rows one walk segment at a time and keeps no chain.  Moves act
+    ``blocks()`` gives the codewords as rows of one walk segment at a
+    time, uint8 up to n = 255; ``_codewords`` joins them into one array
+    and ``codewords()`` is a list-of-tuples view of that.  Moves act
     on positions, not values, so ``end`` is the start relabelled by one
     position map, which is walked once per distinct push sequence: blocks
     of one shape from many starts share that walk.
@@ -284,10 +283,6 @@ class GrayCode:
     def transitions(self) -> tuple[int, ...]:
         return tuple(self.pushes)
 
-    @cached_property
-    def _chain(self) -> np.ndarray:
-        return _walk(self.start, self.pushes)
-
     @property
     def end(self) -> Perm:
         """The word reached after every push; a cyclic code closes iff it is start."""
@@ -295,7 +290,7 @@ class GrayCode:
 
     @cached_property
     def _codewords(self) -> np.ndarray:
-        return self._chain[: self.size]
+        return np.concatenate(list(self.blocks()))
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The codewords in index order, as the rows of one walk segment at a time."""

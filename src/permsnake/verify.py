@@ -119,11 +119,11 @@ def verify_code(code: GrayCode) -> SnakeReport:
     whole into ``code._codewords``, which costs no more than the segment,
     and the array certificate takes it.  A longer one is certified from
     ``code.blocks()``, one segment at a time, and the same pass keeps the
-    last codeword for the closure check; no codeword array is made, and
-    ``code._chain`` is not touched.  The segmented path gives the same
-    certificate at every size: the one-segment array path exists only for
-    perfbench's trace counters, which span ``GrayCode._codewords`` and
-    ``min_pairwise_*``, and goes when the tracer does.
+    last codeword for the closure check; no codeword array is made.  The
+    segmented path gives the same certificate at every size: the
+    one-segment array path exists only for perfbench's trace counters,
+    which span ``GrayCode._codewords`` and ``min_pairwise_*``, and goes
+    when the tracer does.
     """
     m = code.size
     kendall = code.metric_tag == METRIC_KENDALL
@@ -189,9 +189,8 @@ def exhaustive_max_snake(
         raise ValueError(f"unknown metric {metric!r}")
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"need a node budget >= 0, got {node_budget}")
-    # succ[v] lists (move, id) by moves n, n-1, ..., 2; frames are popped
-    # from the end, so children are tried by moves 2, 3, ..., n.
-    ids, succ = reachable_table(identity(n), range(n, 1, -1))
+    # succ[v] lists (move, id) by moves 2, 3, ..., n, the order children are tried in.
+    ids, succ = reachable_table(identity(n), range(2, n + 1))
     perms = list(ids)
     ball = _ball_masks(perms, metric == METRIC_KENDALL)
     # The identity is id 0; Chebyshev tries every start in lexicographic order.
@@ -207,18 +206,18 @@ def exhaustive_max_snake(
         blocked = [ball[s]]
         # The vertices one move away from closing the cycle, by that move.
         closers = {ids[undo_transition(perms[s], i)]: i for i in range(2, n + 1)}
-        stack = [list(succ[s])]
+        stack = [iter(succ[s])]
         if not cyclic and best_size < 1:
             best_size, best_witness = 1, GrayCode(n, perms[s], (), False, metric)
         while stack:
-            frame = stack[-1]
-            if not frame:
+            step = next(stack[-1], None)
+            if step is None:
                 stack.pop()
                 blocked.pop()
                 if trail:
                     trail.pop()
                 continue
-            move, child = frame.pop()
+            move, child = step
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 return best_size, best_witness
@@ -237,7 +236,7 @@ def exhaustive_max_snake(
             elif size > best_size:
                 best_size = size
                 best_witness = GrayCode(n, perms[s], tuple(trail), False, metric)
-            stack.append(list(succ[child]))
+            stack.append(iter(succ[child]))
     return best_size, best_witness
 
 

@@ -251,7 +251,7 @@ def test_gray_code_size_and_codewords():
 @pytest.mark.parametrize("n, dtype", [(12, np.uint8), (255, np.uint8), (256, np.uint16), (300, np.uint16)])
 def test_codeword_rows_are_one_byte_up_to_n255(n, dtype):
     code = GrayCode(n, identity(n), (n, 2, n - 1), False, "linf")
-    assert code._chain.dtype == dtype
+    assert code._codewords.dtype == dtype
     assert code.codewords() == apply_sequence(identity(n), (n, 2, n - 1))
 
 

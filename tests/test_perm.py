@@ -271,7 +271,7 @@ def test_pushes_pack_alike_whatever_sequence_they_come_as(n):
     assert len(codes) == 1
     (code,) = codes
     assert code.pushes == (bytes(pushes) if n <= 255 else tuple(pushes))
-    assert code._chain.tolist() == [list(p) for p in apply_sequence(start, pushes)]
+    assert code._codewords.tolist() + [list(code.end)] == [list(p) for p in apply_sequence(start, pushes)]
     at_n = [n] * 3 + pushes  # above 255 only a tuple or an int64 array holds n
     assert perm.pack_pushes(at_n, n) == perm.pack_pushes(np.array(at_n), n)
 

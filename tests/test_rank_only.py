@@ -19,7 +19,7 @@ def test_a_valid_code_past_one_segment_keeps_no_chain(n):
     code = snake_from_rmgc(n)
     report = verify_code(code)
     assert report.valid and report.min_distance == 2 and report.size > perm._SEGMENT
-    assert "_chain" not in code.__dict__ and "_codewords" not in code.__dict__
+    assert "_codewords" not in code.__dict__
 
 
 def test_thm1_n9_in_short_segments_keeps_no_chain(monkeypatch):
@@ -30,7 +30,7 @@ def test_thm1_n9_in_short_segments_keeps_no_chain(monkeypatch):
     assert verify_code(code).summary_line() == (
         "valid=true size=3360 min_d=2 metric=linf bound=22680 mode=exhaustive"
     )
-    assert "_chain" not in code.__dict__
+    assert "_codewords" not in code.__dict__
 
 
 @pytest.mark.parametrize("segment", [1, 7, 1 << 16])
@@ -47,7 +47,7 @@ def test_the_walk_certifies_as_the_array(monkeypatch, example, plant, segment):
     arrayed = make()
     kernel = _pairdist.min_pairwise_kendall if base.metric_tag == "kendall" else _pairdist.min_pairwise_linf
     expected = kernel(arrayed._codewords)
-    closes = len(arrayed._codewords) > 0 and tuple(arrayed._chain[-1].tolist()) == arrayed.start
+    closes = len(arrayed._codewords) > 0 and arrayed.end == arrayed.start
 
     # Every code takes the walk, in segments of the given length.
     monkeypatch.setattr(verify, "_SEGMENT", 0)
@@ -58,4 +58,4 @@ def test_the_walk_certifies_as_the_array(monkeypatch, example, plant, segment):
     report = verify_code(walked)
     assert (report.min_distance, report.violations, report.pairs_checked) == expected
     assert report.cyclic_ok == (closes if base.cyclic else None)
-    assert "_chain" not in walked.__dict__
+    assert "_codewords" not in walked.__dict__

@@ -14,6 +14,7 @@ move.
 """
 import functools
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -177,6 +178,9 @@ KSNAKE_PINS = {
     (9, 1_000, 20_000): (20_001, False, None),
     (8, 2_521, 100_000): (0, True, None),
     (10, 181_441, 100_000): (0, True, None),
+    # Tuple vertices past n = 9, where the reference's BFS cannot number the coset.
+    (11, 1_000, 20_000): (1_076, False, 1_041),
+    (16, 1_000, 20_000): (2_186, False, 2_187),
 }
 
 
@@ -192,6 +196,19 @@ def test_ksnake_search_is_pinned(case):
     assert (None if snake is None else snake.size) == size
     if snake is not None:
         assert verify_snake(snake).valid
+
+
+def test_tuple_vertex_frames_make_each_child_only_when_it_is_tried():
+    # A frame per path depth holds an iterator over its moves, not a list of
+    # child tuples: this 20,000-node search at n = 16 peaks at about 13 MiB
+    # under tracemalloc, and at 29 MiB when every frame lists its children.
+    tracemalloc.start()
+    try:
+        assert search_ksnake(16, 10**6, budget=20_000) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
 
 
 def test_search_arguments_are_bounded_before_anything_is_built():
