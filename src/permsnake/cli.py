@@ -2,7 +2,8 @@
 
 Commands: construct, verify, sizes, figures, search, import-ksnake.
 Exit codes are a stable contract: 0 success/valid, 1 invalid code or
-mismatch, 2 parse, I/O or precondition errors.
+mismatch, 2 parse, I/O or precondition errors.  Every command that
+reads a document reads it through one entry, ``documents._document``.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .documents import (
     KIND_KSNAKE,
     KIND_RMGC,
     KIND_SNAKE,
+    _document,
     document_chunks,
     ksnake_chunks,
     read_document,
@@ -36,7 +38,6 @@ from .ksnake import (
     check_parity,
     embedded_a5_snake,
     load_ksnake,
-    parse_ksnake_fields,
     search_ksnake,
     verify_snake,
 )
@@ -220,9 +221,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_import_ksnake(args: argparse.Namespace) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    snake = parse_ksnake_fields(text)
+    with open(args.file, "rb") as fh:
+        snake = _document(fh, KIND_KSNAKE)[1]
     print(verify_snake(snake).summary_line())
     print(f"start={format_perm(snake.start)} last_transition=t{snake.pushes[-1]}")
     if args.out:

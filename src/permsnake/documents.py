@@ -27,17 +27,18 @@ reader hands transitions on as its array, and ``GrayCode`` and
 ``RmgcSequence`` check and pack them; the writers read a code's packed
 pushes through ``perm.push_array``.
 
-``read_document`` opens a file and reads the head lines that each kind's
-layout (``_LAYOUT``) names, and ``_reader._numbers`` tokenises the lines
-after them, cut at the listing marker, from pieces of the file, so
-neither its text nor a list of its lines is held.  A file with a byte
-that reader does not take (anything but printable ASCII in the head, or
-anything but ASCII digits, spaces and newlines after it, bar one
-``codewords:`` line, or a token of more than 18 digits) is read again as
-a text file reads (UTF-8, universal newlines).  Text goes through the
-same piece reader when it is ASCII; text it refuses is parsed line by
-line and token by token, so that the first malformed token or line is
-the one named.
+Every document is read by one entry, ``_document``, from a binary file:
+``read_document``, ``verify``, ``import-ksnake`` and ``--ksnake`` open
+a file for it and the ``parse_*`` helpers hand it their text's bytes.
+It reads the head lines that the kind's record in ``_KINDS`` names, and
+``_reader._numbers`` tokenises the lines after them, cut at the listing
+marker, from pieces of the file, so neither its text nor a list of its
+lines is held.  A file with a byte that reader does not take (anything
+but printable ASCII in the head, or anything but ASCII digits, spaces
+and newlines after it, bar one ``codewords:`` line, or a token of more
+than 18 digits) is read again as a text file reads (UTF-8, universal
+newlines) and parsed line by line and token by token, so that the first
+malformed token or line is the one named.
 """
 from __future__ import annotations
 
@@ -119,25 +120,34 @@ def _token_chunks(values: np.ndarray, per_line: int) -> Iterator[str]:
 
 
 def read_document(path: str) -> tuple[str, Any]:
-    """The kind of the document in the file at path, and what its parser returns.
-
-    The file is read in pieces (``_read``), so neither its text nor a list
-    of its lines is held; one that cannot seek, such as a pipe, is read
-    whole first.  A file the piece reader refuses is read again from the
-    start, as a text file reads (UTF-8, universal newlines), and parsed as
-    text, so every outcome, every error included, is that of the text.
-    """
+    """The kind of the document in the file at path, and what its parser returns."""
     with open(path, "rb") as fh:
-        data = fh if fh.seekable() else io.BytesIO(fh.read())
-        read = _read(data)
-        if read is not None:
-            return read[0], _PARSERS[read[0]](*read[1:])
+        return _document(fh, None)
+
+
+def _document(fh: BinaryIO, kind: str | None) -> tuple[str, Any]:
+    """The kind of the document in a binary file, or the kind required, and
+    what that kind's parser makes of it.
+
+    The file is read in pieces (``_read``); one that cannot seek, such as
+    a pipe, is read whole first.  A file the piece reader refuses is read
+    again as a text file reads (UTF-8, universal newlines) and parsed line
+    by line, so every outcome, every error included, is that of the text.
+    """
+    data = fh if fh.seekable() else io.BytesIO(fh.read())
+    read = _read(data)
+    if read is None:
         data.seek(0)  # to read it again, as a text file reads
         text = data.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    kind = detect_kind(text)
-    if kind not in _PARSERS:
-        raise ParseError(f"unrecognised document kind {kind!r}")
-    return kind, _parse(text, kind)
+        kind = kind or detect_kind(text)
+        if kind not in _KINDS:
+            raise ParseError(f"unrecognised document kind {kind!r}")
+        _, want, marker = _KINDS[kind]
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        cut = lines.index(_MARKER, want) if marker and _MARKER in lines[want:] else len(lines)
+        read = (kind, lines[:want], lines[want:cut], lines[cut + 1 :] if cut < len(lines) else None)
+    kind = kind or read[0]
+    return kind, _KINDS[kind][0](*read[1:])
 
 
 def _read(fh: BinaryIO) -> tuple[str, list[str], _Numbers, _Numbers | None] | None:
@@ -153,24 +163,11 @@ def _read(fh: BinaryIO) -> tuple[str, list[str], _Numbers, _Numbers | None] | No
         if line.strip(b" \n"):
             head.append(line.decode().rstrip("\n"))
             kind = head[0].split()[0]
-            if kind not in _LAYOUT:
+            if kind not in _KINDS:
                 return None
-            want, marker = _LAYOUT[kind]
+            _, want, marker = _KINDS[kind]
     numbers = _numbers(fh, marker)
     return None if numbers is None else (kind, head, *numbers)
-
-
-def _parse(text: str, kind: str) -> Any:
-    """What the parser of kind makes of a text: read in pieces if the piece
-    reader takes it, else line by line, so that the first malformed token
-    or line is the one named."""
-    read = _read(io.BytesIO(text.encode())) if text.isascii() else None
-    if read is None:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        want, marker = _LAYOUT[kind]
-        cut = lines.index(_MARKER, want) if marker and _MARKER in lines[want:] else len(lines)
-        read = (kind, lines[:want], lines[want:cut], lines[cut + 1 :] if cut < len(lines) else None)
-    return _PARSERS[kind](*read[1:])
 
 
 def _packed_transitions(body: _Section) -> np.ndarray | tuple[int, ...]:
@@ -260,7 +257,7 @@ def parse_document(text: str) -> CodeDocument:
     and transitions, one segment at a time; a mismatch raises
     VerificationError.
     """
-    return _parse(text, KIND_SNAKE)
+    return _document(io.BytesIO(text.encode()), KIND_SNAKE)[1]
 
 
 def _snake(head: list[str], body: _Section, listing: _Section | None) -> CodeDocument:
@@ -333,7 +330,7 @@ def parse_ksnake_fields(text: str) -> GrayCode:
     Malformed text raises ParseError, and a push outside 2..n raises
     InvalidTransitionError when the snake is made.
     """
-    return _parse(text, KIND_KSNAKE)
+    return _document(io.BytesIO(text.encode()), KIND_KSNAKE)[1]
 
 
 def _ksnake(head: list[str], body: _Section, _: None) -> GrayCode:
@@ -354,7 +351,7 @@ def format_rmgc_document(r: RmgcSequence) -> str:
 
 
 def parse_rmgc_document(text: str) -> RmgcSequence:
-    return _parse(text, KIND_RMGC)
+    return _document(io.BytesIO(text.encode()), KIND_RMGC)[1]
 
 
 def _rmgc(head: list[str], body: _Section, _: None) -> RmgcSequence:
@@ -365,7 +362,6 @@ def _rmgc(head: list[str], body: _Section, _: None) -> RmgcSequence:
     return _parsed(RmgcSequence, n, seq)
 
 
-# Each kind's parser, from its head lines and sections.
-_PARSERS: dict[str, Callable[..., Any]] = {KIND_SNAKE: _snake, KIND_KSNAKE: _ksnake, KIND_RMGC: _rmgc}
-# Each kind's head lines (header, and start line but for rmgc) and listing marker.
-_LAYOUT = {KIND_SNAKE: (2, _MARKER.encode()), KIND_KSNAKE: (2, None), KIND_RMGC: (1, None)}
+# Each kind's record: its parser, from its head lines and sections, its head
+# lines (header, and start line but for rmgc) and its listing marker.
+_KINDS = {KIND_SNAKE: (_snake, 2, _MARKER.encode()), KIND_KSNAKE: (_ksnake, 2, None), KIND_RMGC: (_rmgc, 1, None)}

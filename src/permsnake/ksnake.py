@@ -12,8 +12,8 @@ every snake returned by this module is a cyclic Kendall-tagged
 The embedded 5-symbol snake of size 57 = 5!/2 - 3 is three repeats of a
 19-transition core using only t_3 and t_5; its last transition is t_5,
 which is what the block builders downstream require.  The ksnake text
-format is read and written in ``documents``; ``parse_ksnake`` and
-``load_ksnake`` add the verification.
+format is read and written in ``documents``, through the one entry that
+``verify`` uses too; ``parse_ksnake`` and ``load_ksnake`` add the verification.
 """
 from __future__ import annotations
 
@@ -21,7 +21,8 @@ import math
 from itertools import repeat
 from typing import Iterator, Sequence
 
-from .documents import format_ksnake, parse_ksnake_fields  # re-exported
+from .documents import KIND_KSNAKE, _document, parse_ksnake_fields
+from .documents import format_ksnake  # re-exported
 from .errors import VerificationError
 from .perm import (
     METRIC_KENDALL,
@@ -112,8 +113,10 @@ def parse_ksnake(text: str) -> GrayCode:
 
 
 def load_ksnake(path: str) -> GrayCode:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_ksnake(fh.read())
+    with open(path, "rb") as fh:
+        snake = _document(fh, KIND_KSNAKE)[1]
+    verify_snake(snake)
+    return snake
 
 
 def search_ksnake(

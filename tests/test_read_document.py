@@ -1,13 +1,14 @@
-"""``verify`` reads its file in pieces, and falls back to the text path.
+"""Documents are read in pieces, and fall back to the text path.
 
-``documents.read_document`` tokenises a document's integer lines from
-newline-aligned pieces of the file's bytes.  Whatever the bytes, the
-outcome of ``permsnake verify`` (exit code, stdout and stderr) must be
-the one the text path gives: the file read as a text file reads, then
-parsed line by line.  The oracle below is the same command with the
-piece reader refusing every file.  Pieces are cut small here as well, so
-that lines and the ``codewords:`` marker fall across piece edges, and a
-start line is longer than a piece.
+``documents._document``, the one entry of ``verify``, ``import-ksnake``,
+``construct --ksnake`` and the ``parse_*`` helpers, tokenises a
+document's integer lines from newline-aligned pieces of the file's
+bytes.  Whatever the bytes, the outcome of each command (exit code,
+stdout and stderr) must be the one the text path gives: the file read as
+a text file reads, then parsed line by line.  The oracle below is the
+same command with the piece reader refusing every file.  Pieces are cut
+small here as well, so that lines and the ``codewords:`` marker fall
+across piece edges, and a start line is longer than a piece.
 """
 import io
 
@@ -16,7 +17,20 @@ import pytest
 from permsnake import _reader, documents
 from permsnake.cli import main
 from permsnake.constructions import snake_from_rmgc
-from permsnake.documents import CodeDocument, format_document, format_rmgc_document
+from permsnake.documents import (
+    KIND_KSNAKE,
+    KIND_RMGC,
+    KIND_SNAKE,
+    CodeDocument,
+    detect_kind,
+    format_document,
+    format_rmgc_document,
+    parse_document,
+    parse_ksnake_fields,
+    parse_rmgc_document,
+    read_document,
+)
+from permsnake.errors import ParseError
 from permsnake.ksnake import embedded_a5_snake, format_ksnake
 from permsnake.rmgc import build_rmgc
 
@@ -73,23 +87,33 @@ def variants():
 
 
 VARIANTS = dict(variants())
+VERIFY = ("verify",)
+IMPORT = ("import-ksnake",)
+THM2 = ("construct", "thm2", "--n", "7", "--ksnake")
+# Each command that reads a document, with each document it is run on.
+COMMANDS = [
+    *(pytest.param(VERIFY, name, id=name) for name in VARIANTS),
+    *(pytest.param(IMPORT, name, id=f"import-ksnake {name}") for name in VARIANTS),
+    *(pytest.param(THM2, name, id=f"thm2 {name}") for name in VARIANTS if name.startswith("ksnake")),
+]
 
 
-def verify_file(tmp_path, capsys, data):
+def run_file(tmp_path, capsys, data, command=VERIFY):
+    """The exit code, stdout and stderr of command on a file holding data."""
     path = tmp_path / "doc.txt"
     path.write_bytes(data)
-    rc = main(["verify", str(path)])
+    rc = main([*command, str(path)])
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
 
 @pytest.mark.parametrize("piece", [8, 64, 1 << 16])
-@pytest.mark.parametrize("name", VARIANTS)
-def test_verify_reads_as_the_text_path(tmp_path, capsys, monkeypatch, name, piece):
+@pytest.mark.parametrize("command, name", COMMANDS)
+def test_verify_reads_as_the_text_path(tmp_path, capsys, monkeypatch, command, name, piece):
     monkeypatch.setattr(_reader, "_SLICE", piece)
-    got = verify_file(tmp_path, capsys, VARIANTS[name])
+    got = run_file(tmp_path, capsys, VARIANTS[name], command)
     monkeypatch.setattr(documents, "_read", lambda fh: None)
-    assert got == verify_file(tmp_path, capsys, VARIANTS[name])
+    assert got == run_file(tmp_path, capsys, VARIANTS[name], command)
 
 
 @pytest.mark.parametrize(
@@ -113,15 +137,23 @@ def test_the_piece_reader_takes_digits_and_spaces(name, refused):
 def test_a_non_utf8_byte_is_named_as_the_text_file_names_it(tmp_path, capsys):
     data = VARIANTS["snake non-utf-8 byte"]
     at = data.index(b"\xff")
-    assert verify_file(tmp_path, capsys, data) == (
+    assert run_file(tmp_path, capsys, data) == (
         2, "", f"error: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte\n"
     )
 
 
-def test_verify_reads_a_file_that_cannot_seek(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        pytest.param(VERIFY, "snake crlf", id="verify"),
+        pytest.param(IMPORT, "ksnake crlf", id="import-ksnake"),
+        pytest.param(THM2, "ksnake crlf", id="thm2"),
+    ],
+)
+def test_verify_reads_a_file_that_cannot_seek(tmp_path, capsys, monkeypatch, command, name):
     # Such a file is read whole first, so that the text path can read it again.
-    data = VARIANTS["snake crlf"]
-    expected = verify_file(tmp_path, capsys, data)
+    data = VARIANTS[name]
+    expected = run_file(tmp_path, capsys, data, command)
 
     class Pipe(io.BytesIO):
         def seekable(self):
@@ -131,4 +163,36 @@ def test_verify_reads_a_file_that_cannot_seek(tmp_path, capsys, monkeypatch):
             raise io.UnsupportedOperation("seek")
 
     monkeypatch.setattr("builtins.open", lambda path, mode="r", *args, **kwargs: Pipe(data))
-    assert verify_file(tmp_path, capsys, data) == expected
+    assert run_file(tmp_path, capsys, data, command) == expected
+
+
+PARSE = {KIND_SNAKE: parse_document, KIND_KSNAKE: parse_ksnake_fields, KIND_RMGC: parse_rmgc_document}
+
+
+def texts():
+    """(kind, text), with the variant's name as id: each variant that
+    decodes as UTF-8 and names a known kind."""
+    for name, data in VARIANTS.items():
+        try:
+            text = data.decode("utf-8")
+            kind = detect_kind(text)
+        except (UnicodeDecodeError, ParseError):
+            continue
+        if kind in PARSE:
+            yield pytest.param(kind, text, id=name)
+
+
+def outcome(call, *args):
+    """What call(*args) returns, or the type and message of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:  # ParseError, VerificationError, InvalidTransitionError
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind, text", texts())
+def test_strings_parse_as_files_do(tmp_path, kind, text):
+    path = tmp_path / "doc.txt"
+    path.write_bytes(text.encode())
+    expected = outcome(lambda: read_document(str(path))[1])
+    assert outcome(PARSE[kind], text) == expected
