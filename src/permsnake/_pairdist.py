@@ -10,12 +10,14 @@ order, slices of one (m, n) array or the segments of a code's walk.
   p⁻¹ keys a codeword p (Chebyshev keys p, Kendall p⁻¹) and whether a
   radius-1 ball is the matchings or the single steps of that key.
 - Each codeword is keyed by the Lehmer rank of its key.  Ranks fit an
-  int64 for every n <= 20.  The ranks are sorted in place, and
-  equal-rank runs are the distance-0 pairs.  The certificate keeps only
-  the sorted ranks, 8 bytes per codeword, and unranks each batch of them
-  back into keys; no row of the code is held.  Only when some codeword
-  is near does a second pass over the blocks find the near codewords'
-  indices, and with them the close pairs and the first repeat.
+  int64 for every n <= 20.  The certificate keeps only the sorted ranks,
+  and no row of the code: up to n = 14 4 bytes per codeword, each
+  rank's low 32 bits in buckets of 2**32 ranks (``_words``), and above,
+  the 8-byte ranks.  Equal-rank runs are the distance-0 pairs.  Each
+  batch of sorted ranks is read back as int64 and unranked into keys.
+  Only when some codeword is near does a second pass over the blocks
+  find the near codewords' indices, and with them the close pairs and
+  the first repeat.
 - Swapping the values v and v+1 of a key changes exactly one Lehmer
   digit, the one at the smaller of their two positions a, by +1 when v
   comes first and -1 otherwise: a rank step of ±(n-1-a)!.
@@ -59,6 +61,7 @@ from ._pairscan import (
     _pairwise_scan,
     find_duplicate,
 )
+from ._words import RankWords, SortedRanks
 from .perm import _SEGMENT
 
 _MAX_RANK_N = 20  # 20! < 2**63: every rank fits an int64
@@ -119,18 +122,16 @@ def _certify(
     if n > _MAX_RANK_N:
         return _scan(np.concatenate(list(blocks())), kendall)
     pairs = m * (m - 1) // 2
-    sranks, two = _rank_pass(blocks(), m, kendall)
-    sranks.sort()
-    runs = np.flatnonzero(sranks[1:] == sranks[:-1])
-    near = _near(sranks, runs, n, kendall)
+    sranks, two = _sorted_ranks(blocks(), m, n, kendall)
+    near = _near(sranks, n, kendall)
     if len(near):
-        ranks, index = _near_indices(sranks[near], blocks(), kendall)
+        ranks, index = _near_indices(sranks.read(near), blocks(), kendall)
         violations = _close_pairs(ranks, index, n, kendall)
+        runs = np.flatnonzero(ranks[1:] == ranks[:-1])
         if not len(runs):
             return Certificate(1, violations, pairs)
         # Equal-rank runs keep index order, so the smallest repeating index
         # is the second of its run, right after its first occurrence.
-        runs = np.flatnonzero(ranks[1:] == ranks[:-1])
         t = int(runs[np.argmin(index[runs + 1])])
         duplicate = (int(index[t]), int(index[t + 1]))
         return Certificate(0, _repeat_first(duplicate, violations), pairs)
@@ -139,17 +140,18 @@ def _certify(
     return _scan(np.concatenate(list(blocks())), kendall)
 
 
-def _rank_pass(blocks: Iterable[np.ndarray], m: int, kendall: bool) -> tuple[np.ndarray, bool]:
-    """The ranks of m codewords in index order, and whether a consecutive pair is at distance 2."""
-    ranks = np.empty(m, dtype=np.int64)
-    at, last, two = 0, None, False
+def _sorted_ranks(
+    blocks: Iterable[np.ndarray], m: int, n: int, kendall: bool
+) -> tuple[SortedRanks, bool]:
+    """The sorted ranks of m codewords, and whether a consecutive pair is at distance 2."""
+    words = RankWords(m, n)
+    last, two = None, False
     for rows in blocks:
-        ranks[at : at + len(rows)] = _ranks(_key(rows, kendall))
-        at += len(rows)
+        words.put(_ranks(_key(rows, kendall)))
         if not two and len(rows):
             two = _consecutive_at_two(rows if last is None else np.concatenate((last, rows)), kendall)
             last = rows[-1:]
-    return ranks, two
+    return words.sort(), two
 
 
 def _near_indices(
@@ -273,7 +275,7 @@ def _ball(
             yield c, q.ravel()
 
 
-def _near(sranks: np.ndarray, runs: np.ndarray, n: int, kendall: bool) -> np.ndarray:
+def _near(sranks: SortedRanks, n: int, kendall: bool) -> np.ndarray:
     """The sorted positions, in rank order, of every codeword within distance 1 of another.
 
     Each batch of sorted ranks is unranked into its keys.  Up to n = 14
@@ -283,14 +285,20 @@ def _near(sranks: np.ndarray, runs: np.ndarray, n: int, kendall: bool) -> np.nda
     early; a valid code marks nothing, so the m flags are made only at
     the first mark.
     """
+    m = len(sranks.words)
     near: np.ndarray | None = None
     bit = np.array([1 << b for b in range(8)], dtype=np.uint8)  # bit b of a bitmap byte
 
     def mark(positions: np.ndarray) -> None:
         nonlocal near
         if near is None:
-            near = np.zeros(len(sranks), dtype=bool)
+            near = np.zeros(m, dtype=bool)
         near[positions] = True
+
+    def batches(c0: int, c1: int) -> Iterator[tuple[int, np.ndarray]]:
+        # The ranks of sorted codewords [c0, c1), a batch at a time.
+        for b0 in range(c0, c1, _CHUNK):
+            yield b0, sranks.read(slice(b0, min(b0 + _CHUNK, c1)))
 
     def bytes_first(q: np.ndarray) -> np.ndarray:
         # Most bytes of a sparse window are zero: bit-test only the others.
@@ -300,17 +308,16 @@ def _near(sranks: np.ndarray, runs: np.ndarray, n: int, kendall: bool) -> np.nda
 
     def probe(c0: int, c1: int, lo: int, member: Callable = bytes_first, avoid=(), lead=None) -> None:
         # Sorted codewords [c0, c1) probe with their ranks less lo.
-        for b0 in range(c0, c1, _CHUNK):
-            k = sranks[b0 : min(b0 + _CHUNK, c1)]
+        for b0, k in batches(c0, c1):
             for cols, q in _ball(_inverse(_unrank(k, n)), k - lo, kendall, avoid, lead):
                 if len(hit := member(q)):
                     mark(b0 + cols[hit % len(cols)])
-                    mark(np.searchsorted(sranks, q[hit] + lo))
+                    mark(sranks.find(q[hit] + lo))
 
-    if len(runs):
+    if len(runs := sranks.runs()):
         mark(np.concatenate([runs, runs + 1]))
     if n > _BITMAP_N:
-        probe(0, len(sranks), 0, lambda q: np.flatnonzero(sranks[sranks.searchsorted(q, "right") - 1] == q))
+        probe(0, m, 0, lambda q: np.flatnonzero(sranks.read(np.minimum(sranks.find(q), m - 1)) == q))
     else:
         slab = math.factorial(n - 1)
         # An anonymous map kept off huge pages: numpy asks for huge pages
@@ -327,13 +334,12 @@ def _near(sranks: np.ndarray, runs: np.ndarray, n: int, kendall: bool) -> np.nda
         if hasattr(mmap, "MADV_NOHUGEPAGE"):
             window.madvise(mmap.MADV_NOHUGEPAGE)
         bits = np.frombuffer(window, dtype=np.uint8)
-        edges = np.searchsorted(sranks, slab * np.arange(n + 1))  # first codeword of each slab
+        edges = sranks.find(slab * np.arange(n + 1)).tolist()  # first codeword of each slab
         size = np.diff(edges)
         for s in np.flatnonzero(size).tolist():
             lo = s * slab
-            held = np.array_split(sranks[edges[s] : edges[s + 1]], size[s] // _CHUNK + 1)
-            for x in held:
-                x = x - lo
+            for _, x in batches(edges[s], edges[s + 1]):
+                x -= lo
                 np.bitwise_or.at(bits, x >> 3, bit[x & 7])
             probe(edges[s], edges[s + 1], lo, avoid=(s - 1, s))
             # Across each edge, from the smaller slab.
@@ -341,7 +347,7 @@ def _near(sranks: np.ndarray, runs: np.ndarray, n: int, kendall: bool) -> np.nda
                 probe(edges[s - 1], edges[s], lo, lead=s - 1)
             if s < n - 1 and size[s + 1] < size[s]:
                 probe(edges[s + 1], edges[s + 2], lo, lead=s)
-            for x in held:
+            for _, x in batches(edges[s], edges[s + 1]):
                 bits[(x - lo) >> 3] = 0
     return np.flatnonzero(near) if near is not None else np.empty(0, dtype=np.int64)
 

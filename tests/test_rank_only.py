@@ -6,11 +6,14 @@ certificate over the blocks must equal the array certificate over
 ``code._codewords`` for every example and plant of the differential
 tests, with segments of any length, and so must the closure verdict.
 """
+import tracemalloc
+
 import pytest
 from test_verify_differential import EXAMPLES, PLANTS
 
 from permsnake import _pairdist, perm, verify
 from permsnake.constructions import GrayCode, snake_from_rmgc
+from permsnake.perm import METRIC_LINF
 from permsnake.verify import verify_code
 
 
@@ -59,3 +62,27 @@ def test_the_walk_certifies_as_the_array(monkeypatch, example, plant, segment):
     assert (report.min_distance, report.violations, report.pairs_checked) == expected
     assert report.cyclic_ok == (closes if base.cyclic else None)
     assert "_codewords" not in walked.__dict__
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_thm1_n12_certifies_in_4_byte_words(planted):
+    # 522,720 sorted ranks are 2.1 MB as uint32 words and 4.2 MB as int64;
+    # the rank pass of the int64 certificate traced 7.4 MiB.  With t2 t2
+    # planted in every walk segment, the repeats send hits through the
+    # sorted-position lookup, and a needle of another dtype there would
+    # make numpy cast all 522,720 words to int64 on each call.
+    code = snake_from_rmgc(12)
+    if planted:
+        pushes = list(code.transitions)
+        for at in reversed(range(10, len(pushes), perm._SEGMENT)):
+            pushes[at:at] = [2, 2]
+        code = GrayCode(12, code.start, pushes, False, METRIC_LINF)
+    verify_code(GrayCode(6, tuple(range(1, 7)), (2, 3), False, METRIC_LINF))  # numpy's first-use set-up
+    tracemalloc.start()
+    try:
+        report = verify_code(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.min_distance == (0 if planted else 2)
+    assert peak < 6 * 2**20

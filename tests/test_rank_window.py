@@ -18,6 +18,12 @@ must equal the pairwise scan.  A code with one codeword in each of the
 The window is read a byte first: a looked-up rank that shares a byte
 with a codeword but not its bit marks nothing, and close pairs at bit 0
 and bit 7 of a byte are both found.
+
+Up to n = 14 the sorted ranks are 32-bit words in buckets of 2**32
+ranks, 2 at n = 13 and 21 at n = 14, and the walk here reads them as the
+certificate builds them.  At every bucket edge, two ranks 2**32 apart
+share a word and are no repeat, a repeat at a bucket's first rank is
+the first repeat, and a distance-1 pair across the edge is found.
 """
 import math
 import mmap
@@ -26,15 +32,17 @@ import random
 import numpy as np
 import pytest
 
-from permsnake import _pairdist
+from permsnake import _pairdist, _words
 from permsnake._pairdist import (
     _key,
     _kendall_dist,
     _linf_dist,
     _near,
+    _near_indices,
     _order_bitmaps,
     _pairwise_scan,
     _ranks,
+    _sorted_ranks,
     min_pairwise_kendall,
     min_pairwise_linf,
 )
@@ -87,12 +95,14 @@ def planted(n, metric, case):
 
 
 def window_hit(arr, kendall):
-    """The indices of the codewords that the ball walk marks as near."""
-    ranks = _ranks(_key(arr, kendall))
-    order = np.argsort(ranks, kind="stable")
-    sranks = ranks[order]
-    runs = np.flatnonzero(sranks[1:] == sranks[:-1])
-    return set(order[_near(sranks, runs, arr.shape[1], kendall)].tolist())
+    """The indices of the codewords that the ball walk marks as near.
+
+    The sorted ranks are built as the certificate builds them, so up to
+    n = 14 the walk reads 32-bit words in buckets of 2**32 ranks.
+    """
+    m, n = arr.shape
+    sranks, _ = _sorted_ranks([arr], m, n, kendall)
+    return set(_near_indices(sranks.read(_near(sranks, n, kendall)), [arr], kendall)[1].tolist())
 
 
 @pytest.mark.parametrize("case", ["edge", "slab 0", "last slab"])
@@ -284,3 +294,84 @@ def test_the_rank_window_is_an_anonymous_map_off_huge_pages(monkeypatch, n):
     assert min_pairwise_linf(rows).min_distance == n - 1
     assert advised == [(-(-math.factorial(n - 1) // 8), mmap.MADV_NOHUGEPAGE)]
     assert flags == [mmap.MAP_PRIVATE]
+
+
+def buckets(n):
+    """The bucket edges b·2**32, b >= 1, inside the ranks of S_n."""
+    return range(1 << 32, math.factorial(n), 1 << 32)
+
+
+def as_scanned(rows, kendall):
+    """The certificate equals the scan of every pair, and the walk marks the ends of its close pairs."""
+    arr = np.array(rows, dtype=np.uint8)
+    expected = _pairdist._scan(arr, kendall)
+    assert (min_pairwise_kendall if kendall else min_pairwise_linf)(arr) == expected
+    assert window_hit(arr, kendall) == {i for pair, _ in expected.violations for i in pair}
+    return expected
+
+
+@pytest.mark.parametrize("metric", [METRIC_LINF, METRIC_KENDALL])
+@pytest.mark.parametrize("n", [13, 14])
+def test_equal_words_across_a_bucket_edge_are_no_repeat(n, metric):
+    # Ranks e - 2**32 + x and e + x share their low 32 bits, so their words
+    # sit side by side across the edge e when nothing lies between them.
+    kendall = metric == METRIC_KENDALL
+    for e in buckets(n):
+        for x in (0, 5, min((1 << 32) - 1, math.factorial(n) - 1 - e)):
+            rows = [codeword(unrank(r, n), kendall) for r in (e + x, e - (1 << 32) + x)]
+            sranks, _ = _sorted_ranks([np.array(rows, dtype=np.uint8)], 2, n, kendall)
+            assert sranks.words[0] == sranks.words[1] and len(sranks.runs()) == 0
+            assert as_scanned(rows, kendall).min_distance > 0
+
+
+@pytest.mark.parametrize("metric", [METRIC_LINF, METRIC_KENDALL])
+@pytest.mark.parametrize("n", [13, 14])
+def test_a_repeat_at_a_buckets_first_rank_is_the_first_repeat(n, metric):
+    # The rank e repeats; e - 2**32 shares its word, e - 1 is its neighbour
+    # across the edge, and a pair at distance 1 comes first by index.
+    kendall = metric == METRIC_KENDALL
+    for e in buckets(n):
+        first, last = (codeword(unrank(r, n), kendall) for r in (e, e - 1))
+        p = unrank(e - (1 << 32), n)
+        step = swap_values(p, next(v for v in range(1, n) if p.index(v) < p.index(v + 1)))
+        rows = [codeword(p, kendall), codeword(step, kendall), last, first, first]
+        cert = as_scanned(rows, kendall)
+        assert cert.min_distance == 0 and cert.violations[0] == ((3, 4), 0)
+
+
+@pytest.mark.parametrize("metric", [METRIC_LINF, METRIC_KENDALL])
+@pytest.mark.parametrize("n", [13, 14])
+def test_a_close_pair_across_a_bucket_edge_is_found(n, metric):
+    # The key ranked e - 1 swaps the ascending pair of values that comes
+    # last, a step up of at most 12! past the edge e, into the next bucket.
+    kendall = metric == METRIC_KENDALL
+    for e in buckets(n):
+        p = unrank(e - 1, n)
+        q = swap_values(p, max((v for v in range(1, n) if p.index(v) < p.index(v + 1)), key=p.index))
+        assert _ranks(_key(np.array([q], dtype=np.uint8), False))[0] >> 32 == e >> 32
+        rows = [codeword(p, kendall), codeword(unrank(e + 7, n), kendall), codeword(q, kendall)]
+        cert = as_scanned(rows, kendall)
+        assert cert.min_distance == 1 and ((0, 2), 1) in cert.violations
+
+
+@pytest.mark.parametrize("metric", [METRIC_LINF, METRIC_KENDALL])
+@pytest.mark.parametrize("n", [9, 12, 13, 14, 15])
+def test_sorted_ranks_read_back_as_the_int64_sort(monkeypatch, n, metric):
+    # Grouped in steps of 7 positions, codewords spread over every bucket,
+    # some repeated, read back, search and repeat as the sorted int64 ranks.
+    monkeypatch.setattr(_words, "_GROUP", 7)
+    kendall = metric == METRIC_KENDALL
+    rng = random.Random(n)
+    rows = [codeword(unrank(rng.randrange(math.factorial(n)), n), kendall) for _ in range(300)]
+    rows += rows[::17] + [codeword(unrank(r, n), kendall) for r in (0, math.factorial(n) - 1)]
+    arr = np.array(rng.sample(rows, len(rows)), dtype=np.uint8)
+    sranks, _ = _sorted_ranks([arr[:100], arr[100:]], len(arr), n, kendall)
+    ranks = np.sort(_ranks(_key(arr, kendall)))
+    assert sranks.words.dtype == (np.int64 if n > 14 else np.uint32)
+    assert len(sranks.buckets) - 1 == (1 if n <= 12 or n > 14 else {13: 2, 14: 21}[n])
+    assert (sranks.read(np.arange(len(arr))) == ranks).all()
+    for c0 in range(0, len(arr), 37):
+        assert (sranks.read(slice(c0, min(c0 + 37, len(arr)))) == ranks[c0 : c0 + 37]).all()
+    assert (sranks.runs() == np.flatnonzero(ranks[1:] == ranks[:-1])).all()
+    needles = np.concatenate((ranks, ranks + 1, [0, math.factorial(n)]))
+    assert (sranks.find(needles) == np.searchsorted(ranks, needles)).all()
