@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from ._numpy import np
 from ._pairscan import (
@@ -61,8 +61,10 @@ from ._pairscan import (
     _pairwise_scan,
     find_duplicate,
 )
-from ._words import RankWords, SortedRanks
 from .perm import _SEGMENT
+
+if TYPE_CHECKING:
+    from ._words import SortedRanks
 
 _MAX_RANK_N = 20  # 20! < 2**63: every rank fits an int64
 _BITMAP_N = 14  # the largest n whose lookup is a rank window
@@ -144,6 +146,8 @@ def _sorted_ranks(
     blocks: Iterable[np.ndarray], m: int, n: int, kendall: bool
 ) -> tuple[SortedRanks, bool]:
     """The sorted ranks of m codewords, and whether a consecutive pair is at distance 2."""
+    from ._words import RankWords  # like numpy and mmap, loaded with the first certificate
+
     words = RankWords(m, n)
     last, two = None, False
     for rows in blocks:
