@@ -9,9 +9,9 @@ lifted transition acts like t_j on the trailing n-1 values, in a rotated
 frame, and the n rotations in between visit n fresh permutations each.
 
 The base case is the hand-rolled 3-sequence (t3 t3 t2 t3 t3 t2).  Each
-level is lifted with one numpy broadcast: an (n-1)! x n grid of t_n whose
-last column holds t_{n-j+1}, read back as the bytes ``RmgcSequence.seq``,
-one byte per push.
+level is lifted with two bytes operations that allocate the n! bytes of
+``RmgcSequence.seq``, one per push, once: ``translate`` maps each inner t_j
+to t_{n-j+1}, and ``replace`` puts n-1 pushes of t_n before each of them.
 
 Three positions of the built sequence are fixed and load-bearing for the
 block constructions downstream: position 1 holds t_n, position n holds
@@ -79,11 +79,11 @@ def build_rmgc(n: int) -> RmgcSequence:
     if n == BASE_N:
         result = base_t3()
     else:
-        inner = np.frombuffer(build_rmgc(n - 1).seq, dtype=np.uint8)
-        # Row j: n-1 pushes of t_n, then t_{n-j+1} for the inner transition t_j.
-        grid = np.full((len(inner), n), n, dtype=np.uint8)
-        grid[:, -1] = n + 1 - inner
-        result = RmgcSequence(n, grid.tobytes())
+        inner = build_rmgc(n - 1).seq
+        flip = bytes((n + 1 - j) % 256 for j in range(256))  # inner t_j -> t_{n-j+1}
+        # n-1 pushes of t_n go before each flipped byte, none after the last.
+        seq = inner.translate(flip).replace(b"", bytes([n]) * (n - 1), len(inner))
+        result = RmgcSequence(n, seq)
     _assert_special_positions(result)
     return result
 

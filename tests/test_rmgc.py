@@ -1,15 +1,18 @@
 import doctest
+import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permsnake import perm, rmgc
+from permsnake._numpy import np
 from permsnake.documents import format_rmgc_document
 from permsnake.errors import InvalidTransitionError
-from permsnake.perm import apply_sequence, identity
+from permsnake.perm import apply_sequence, identity, pack_pushes
 from permsnake.rmgc import (
     RmgcSequence,
     base_t3,
@@ -194,12 +197,43 @@ def test_complete_and_cyclic_across_segments(monkeypatch, segment):
         assert complete_and_cyclic(RmgcSequence(5, seq)) == reference_complete_cyclic(5, seq)
 
 
+def grid_lift(n, inner):
+    """The numpy lift: an (n-1)! x n grid of t_n whose last column holds t_{n-j+1}."""
+    inner = np.frombuffer(inner, dtype=np.uint8)
+    grid = np.full((len(inner), n), n, dtype=np.uint8)
+    grid[:, -1] = n + 1 - inner
+    return grid.tobytes()
+
+
 @pytest.mark.parametrize("n", range(4, 11))
 def test_build_rmgc_matches_the_list_lift(n):
-    """Each level is the transition-by-transition lift of the level below."""
+    """Each level is the transition-by-transition lift of the level below, and the grid lift."""
     lifted = []
     for j in build_rmgc(n - 1).seq:
         lifted.extend([n] * (n - 1))
         lifted.append(n - j + 1)
     assert type(build_rmgc(n).seq) is bytes
-    assert build_rmgc(n).seq == bytes(lifted)
+    assert build_rmgc(n).seq == bytes(lifted) == grid_lift(n, build_rmgc(n - 1).seq)
+
+
+def test_build_rmgc_10_is_pinned():
+    digest = hashlib.sha256(build_rmgc(10).seq).hexdigest()
+    assert digest == "b4e34fdc85b9ea181288029c462a4fe776e9bff785b2a51256e6ebd144c7a1eb"
+
+
+def test_build_rmgc_10_allocates_its_sequence_once():
+    """A cold build of every level up to n = 10 traces at most 5 MiB.
+
+    The 10! bytes are 3.5 MiB; a lift that fills an array and copies it to
+    bytes holds them twice and traces 7.3 MiB.
+    """
+    pack_pushes(b"\x02", 2)  # numpy's first use, outside the trace
+    build_rmgc.cache_clear()
+    tracemalloc.start()
+    try:
+        build_rmgc(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        build_rmgc.cache_clear()
+    assert peak <= 5 * 2**20
