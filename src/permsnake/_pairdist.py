@@ -166,10 +166,13 @@ def _near_indices(
     Every codeword whose rank is in want is found, so equal ranks keep
     index order, as a stable sort of all the ranks orders them.
     """
+    if not len(want):
+        return want, np.zeros(0, dtype=np.int64)
     ranks, index, at = [], [], 0
     for rows in blocks:
         k = _ranks(_key(rows, kendall))
-        hit = np.flatnonzero(np.isin(k, want))
+        slot = np.minimum(np.searchsorted(want, k), len(want) - 1)  # want is sorted
+        hit = np.flatnonzero(want[slot] == k)
         ranks.append(k[hit])
         index.append(at + hit)
         at += len(rows)

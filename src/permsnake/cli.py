@@ -49,7 +49,7 @@ ABSENT = "—"  # table placeholder for sizes without a construction
 SIZES_MAX_N = 100  # sizes tabulates n in 4..100; thm1 stops at RMGC_SNAKE_MAX_N = 14
 # construct rmgc checks completeness and closure up to this n.  The check
 # is what limits it: it walks and ranks all n! words, 0.06-0.08 s at n=9,
-# while at n=10 it would add about 0.6 s to a 0.2-s command (see README).
+# while at n=10 it would add numpy and 0.7 s to a 0.14-s command (see README).
 RMGC_CHECK_MAX_N = 9
 MODE_OPTION = dict(
     choices=["exhaustive", "sampled"],

@@ -19,13 +19,13 @@ Each kind is written by a generator of chunks of whole lines
 (``document_chunks``, ``ksnake_chunks``, ``rmgc_chunks``), so a caller can
 write a document without holding it as one string; ``format_*`` join the
 chunks.  Transition lines and the codeword listing are written by one
-vectorised token writer, ``_token_chunks``, from integer arrays (a listing
-from ``GrayCode.blocks()``, one walk segment at a time), and read back by
-one vectorised token reader, ``_reader._read_ints``; a listing is read
-into one array and compared with the walk a segment at a time.  The
-reader hands transitions on as its array, and ``GrayCode`` and
-``RmgcSequence`` check and pack them; the writers read a code's packed
-pushes through ``perm.push_array``.
+bytes token writer, ``_text_chunks``, from a code's packed pushes and a
+listing's rows as bytes (from ``GrayCode.blocks()``, one walk segment at
+a time), so writing loads no numpy, and read back by one vectorised
+token reader, ``_reader._read_ints``; a listing is read into one array
+and compared with the walk a segment at a time.  The reader hands
+transitions on as its array, and ``GrayCode`` and ``RmgcSequence`` check
+and pack them.
 
 Every document is read by one entry, ``_document``, from a binary file:
 ``read_document``, ``verify``, ``import-ksnake`` and ``--ksnake`` open
@@ -44,10 +44,10 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Any, BinaryIO, Callable, Iterator, TypeAlias
+from typing import Any, BinaryIO, Callable, Iterator, Sequence, TypeAlias
 
 from ._numpy import np
-from ._reader import _NEWLINE, _SPACE, _Numbers, _numbers
+from ._reader import _NEWLINE, _Numbers, _numbers
 from .errors import ParseError, VerificationError
 from .perm import (
     METRIC_KENDALL,
@@ -57,7 +57,6 @@ from .perm import (
     format_perm,
     parse_perm,
     parse_transitions,
-    push_array,
 )
 from .rmgc import RmgcSequence
 
@@ -65,6 +64,8 @@ _WRAP = 30  # transition tokens per line
 _CHUNK_TOKENS = 1 << 16  # about this many tokens are written at a time
 _MARKER = "codewords:"
 _HEAD_BYTES = bytes(range(0x20, 0x7F)) + b"\n"  # printable ASCII, and a line's end
+# The hundreds, tens and units digit of each byte value, 0 for a leading zero.
+_DIGITS = tuple(bytes(48 + v // s % 10 if v >= s or s == 1 else 0 for v in range(256)) for s in (100, 10, 1))
 _Section: TypeAlias = "_Numbers | list[str]"  # lines of integers: the piece reader's numbers, or the text lines
 
 KIND_SNAKE = "snake"
@@ -87,36 +88,36 @@ def detect_kind(text: str) -> str:
     raise ParseError("empty document")
 
 
-def _token_chunks(values: np.ndarray, per_line: int) -> Iterator[str]:
+def _text_chunks(values: bytes | Sequence[int], per_line: int) -> Iterator[str]:
     """The non-negative integers of values as text, per_line tokens to a line.
 
     Tokens are separated by single spaces, and every line ends in a newline,
     the last one too.  The text comes in chunks of whole lines, made one
-    at a time as the caller takes them.  A chunk's digits fill a
-    (tokens, width + 1) uint8 grid right-aligned, its last column holds the
-    separators, and one mask drops the leading zeros, so no temporary is
-    larger than a chunk.
+    at a time as the caller takes them.  Bytes make no int per token: each
+    digit column of a chunk's cells, one wider than its widest token, is
+    one strided slice of the chunk translated by a ``_DIGITS`` table, the
+    last column holds the separators, and one ``translate`` drops the 0
+    bytes of leading zeros.  Values above 255 come as a sequence of ints,
+    written a line at a time.
 
-    >>> "".join(_token_chunks(np.array([3, 10, 2, 123, 7]), 2))
+    >>> "".join(_text_chunks(bytes([3, 10, 2, 123, 7]), 2))
     '3 10\\n2 123\\n7\\n'
     """
-    flat = values.reshape(-1)
-    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
+    if not isinstance(values, bytes):
+        for c0 in range(0, len(values), per_line):
+            yield " ".join(map(str, values[c0 : c0 + per_line])) + "\n"
+        return
     step = max(1, _CHUNK_TOKENS // per_line) * per_line
-    for c0 in range(0, len(flat), step):
-        v = flat[c0 : c0 + step]
-        width = len(str(v.max()))
-        grid = np.empty((len(v), width + 1), dtype=np.uint8)
-        keep = np.ones(grid.shape, dtype=bool)
-        for col in range(width):
-            scale = 10 ** (width - 1 - col)
-            grid[:, col] = digits[v // scale % 10]
-            if col < width - 1:
-                keep[:, col] = v >= scale
-        grid[:, width] = _SPACE
-        grid[per_line - 1 :: per_line, width] = _NEWLINE
-        grid[-1, width] = _NEWLINE  # chunks hold whole lines but the last
-        yield grid[keep].tobytes().decode("ascii")
+    for c0 in range(0, len(values), step):
+        v = values[c0 : c0 + step]
+        cell = 4 if v.translate(None, bytes(range(100))) else 3 if v.translate(None, bytes(range(10))) else 2
+        text = bytearray(len(v) * cell)
+        for col, table in enumerate(_DIGITS[4 - cell :]):  # the widest token's digits
+            text[col::cell] = v.translate(table)
+        text[cell - 1 :: cell] = b" " * len(v)
+        text[cell * per_line - 1 :: cell * per_line] = b"\n" * (len(v) // per_line)
+        text[-1] = _NEWLINE  # chunks hold whole lines but the last
+        yield text.translate(None, b"\0").decode("ascii")
 
 
 def read_document(path: str) -> tuple[str, Any]:
@@ -189,11 +190,11 @@ def document_chunks(doc: CodeDocument, include_codewords: bool = False) -> Itera
         f"cyclic={str(code.cyclic).lower()} method={doc.method}\n"
     )
     yield f"{format_perm(code.start)}\n"
-    yield from _token_chunks(push_array(code.pushes), _WRAP)
+    yield from _text_chunks(code.pushes, _WRAP)
     if include_codewords:
         yield f"{_MARKER}\n"
         for rows in code.blocks():
-            yield from _token_chunks(rows, code.n)
+            yield from _text_chunks(rows.tobytes() if rows.itemsize == 1 else rows.reshape(-1), code.n)
 
 
 def format_document(doc: CodeDocument, include_codewords: bool = False) -> str:
@@ -316,7 +317,7 @@ def ksnake_chunks(snake: GrayCode) -> Iterator[str]:
     """Text form in chunks: header, start permutation, one line of transitions."""
     yield f"ksnake n={snake.n} size={snake.size}\n"
     yield f"{format_perm(snake.start)}\n"
-    yield from _token_chunks(push_array(snake.pushes), max(1, len(snake.pushes)))
+    yield from _text_chunks(snake.pushes, max(1, len(snake.pushes)))
 
 
 def format_ksnake(snake: GrayCode) -> str:
@@ -343,7 +344,7 @@ def _ksnake(head: list[str], body: _Section, _: None) -> GrayCode:
 def rmgc_chunks(r: RmgcSequence) -> Iterator[str]:
     """The text of an RMGC export, in chunks of whole lines."""
     yield f"rmgc n={r.n} len={len(r.seq)}\n"
-    yield from _token_chunks(push_array(r.seq), _WRAP)
+    yield from _text_chunks(r.seq, _WRAP)
 
 
 def format_rmgc_document(r: RmgcSequence) -> str:

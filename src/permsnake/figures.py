@@ -20,7 +20,7 @@ from .constructions import (
     snake_from_ksnake,
     snake_from_rmgc,
 )
-from .documents import _token_chunks
+from .documents import _text_chunks
 from .ksnake import embedded_a5_snake
 from .perm import GrayCode, format_perm
 
@@ -50,7 +50,7 @@ def generate_figure(name: str) -> str:
         return _boundary_rows(snake_from_ksnake(7, embedded_a5_snake()), 57)
     else:
         raise ValueError(f"unknown figure {name!r}")
-    return "".join(_token_chunks(block._codewords, block.n))
+    return "".join(_text_chunks(block._codewords.tobytes(), block.n))
 
 
 def golden_text(name: str) -> str:

@@ -170,10 +170,13 @@ def probe(*argv):
         ("sizes", "4", "5"),
         ("search", "ksnake", "--n", "5", "--target", "58", "--budget", "50000"),
         ("construct", "thm1", "--n", "15"),
+        ("construct", "rmgc", "--n", "10", "--out", "OUT"),
     ],
-    ids=["sizes", "search-ksnake-not-found", "construct-thm1-n15-exit-2"],
+    ids=["sizes", "search-ksnake-not-found", "construct-thm1-n15-exit-2", "construct-rmgc-n10"],
 )
-def test_commands_with_no_array_work_never_load_numpy(capsys, argv):
+def test_commands_with_no_array_work_never_load_numpy(tmp_path, capsys, argv):
+    """Above n = 9 construct rmgc checks and writes its pushes as bytes, with no array."""
+    argv = [str(tmp_path / "out.txt") if a == "OUT" else a for a in argv]
     rc, stdout, stderr, loaded = probe(*argv)
     assert (rc, stdout, stderr) == run(capsys, *argv)
     assert not loaded
@@ -499,6 +502,32 @@ def test_verify_applies_the_ksnake_coset_rule(tmp_path, capsys):
     assert rc == 1 and stderr == ""
     assert "verdict:      INVALID" in stdout
     assert "valid=false size=2 min_d=1 metric=kendall" in stdout
+
+
+def test_verify_of_a_linf_snake_relabelled_kendall_is_pinned(tmp_path, capsys):
+    """The thm1 n = 8 snake is no Kendall snake: its verdict and first 50
+    close pairs, found by looking the near ranks up among every codeword's."""
+    doc = tmp_path / "thm1_n8.txt"
+    assert run(capsys, "construct", "thm1", "--n", "8", "--out", str(doc))[0] == 0
+    doc.write_text(doc.read_text(encoding="utf-8").replace("metric=linf", "metric=kendall", 1), encoding="utf-8")
+    rc, stdout, stderr = run(capsys, "verify", str(doc))
+    assert (rc, stderr) == (1, "")
+    lines = stdout.splitlines()
+    assert lines[:8] == [
+        "size:         672",
+        "distinct:     True",
+        "cyclic:       True",
+        "min distance: 1 (kendall)",
+        "size bound:   20160",
+        "mode:         exhaustive (225456 pairs)",
+        "verdict:      INVALID",
+        "violation:    codewords 0 and 140 at distance 1",
+    ]
+    assert lines[-1] == "valid=false size=672 min_d=1 metric=kendall bound=20160 mode=exhaustive"
+    violations = [line for line in lines if line.startswith("violation:")]
+    assert len(violations) == 50
+    digest = hashlib.sha256("\n".join(violations).encode()).hexdigest()
+    assert digest == "38f9fd149187cab69fcac943a8fec9d35dd038879149f818c0b9f269054fc47d"
 
 
 def test_sizes_rows(capsys):

@@ -16,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from permsnake._pairdist import VIOLATION_CAP, min_pairwise_linf
+from permsnake._pairdist import VIOLATION_CAP, _key, _near_indices, _ranks, min_pairwise_linf
 from permsnake.constructions import GrayCode, snake_from_rmgc
 
 
@@ -111,3 +111,15 @@ def test_planted_repeat_at_scale(thm1_n11, where):
     assert (where == "adjacent front") == any(d == 1 for _, d in close)
     expected = [(repeat, 0), *sorted(close - {(repeat, 0)})]
     assert min_pairwise_linf(arr) == (0, expected, m * (m - 1) // 2)
+
+
+def test_near_indices_look_up_sorted_ranks_and_repeats():
+    """Every codeword whose rank is wanted is found, repeats in index order."""
+    rows = np.array([[2, 1, 3], [1, 2, 3], [3, 2, 1], [2, 1, 3], [1, 3, 2]], dtype=np.uint8)
+    ranks = _ranks(_key(rows, False))
+    want = np.sort(ranks[[0, 4]])
+    got_ranks, index = _near_indices(want, [rows[:2], rows[2:]], False)
+    expected = sorted((r, i) for i, r in enumerate(ranks.tolist()) if r in want)
+    assert (got_ranks.tolist(), index.tolist()) == tuple(map(list, zip(*expected)))
+    got_ranks, index = _near_indices(want[:0], [rows], False)
+    assert (len(got_ranks), len(index)) == (0, 0)

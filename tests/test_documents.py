@@ -13,7 +13,7 @@ from permsnake.documents import (
     CodeDocument,
     _listed,
     _packed_transitions,
-    _token_chunks,
+    _text_chunks,
     detect_kind,
     format_document,
     format_ksnake,
@@ -204,23 +204,27 @@ def test_ksnake_round_trip_property(snake):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(st.integers(0, 9) | st.integers(10, 9999), max_size=100),
+    st.lists(st.integers(0, 9) | st.integers(10, 255) | st.integers(256, 9999), max_size=100),
     st.integers(1, 40),
-    st.sampled_from([np.uint16, np.int64]),
+    st.sampled_from([tuple, lambda values: np.array(values, dtype=np.uint16)]),
 )
-def test_token_chunks_matches_str_join(values, per_line, dtype):
-    text = "".join(_token_chunks(np.array(values, dtype=dtype), per_line))
-    assert text == "".join(line + "\n" for line in reference_lines(values, per_line))
+@example([], 7, tuple)
+def test_token_chunks_matches_str_join(values, per_line, form):
+    """Bytes, for values up to 255, and any other sequence of ints write as str.join does."""
+    expected = "".join(line + "\n" for line in reference_lines(values, per_line))
+    assert "".join(_text_chunks(form(values), per_line)) == expected
+    if max(values, default=0) <= 255:
+        assert "".join(_text_chunks(bytes(values), per_line)) == expected
 
 
-@pytest.mark.parametrize("per_line", [1, 7, 30, 300])
+@pytest.mark.parametrize("per_line", [1, 7, 10, 30, 300])
 def test_token_chunks_across_chunks(per_line):
     """Chunks of whole lines, each with its own widest token, join seamlessly."""
     rng = random.Random(per_line)
     values = []
-    for top in (9, 9999, 99, 9, 999, 300):
+    for top in (9, 255, 99, 9, 199, 100):
         values += [rng.randint(0, top) for _ in range(70_001)]
-    text = "".join(_token_chunks(np.array(values, dtype=np.uint16), per_line))
+    text = "".join(_text_chunks(bytes(values), per_line))
     assert text == "".join(line + "\n" for line in reference_lines(values, per_line))
 
 

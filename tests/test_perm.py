@@ -257,9 +257,9 @@ def test_walk_names_the_first_bad_push(n):
 
 
 def push_forms(pushes):
-    """The same pushes as a list, a tuple, bytes, a uint8 array and an int64 array."""
+    """The same pushes as a list, a tuple, bytes, a uint8 array, a strided uint8 view and an int64 array."""
     return [list(pushes), tuple(pushes), bytes(pushes), np.array(pushes, dtype=np.uint8),
-            np.array(pushes, dtype=np.int64)]
+            np.repeat(np.array(pushes, dtype=np.uint8), 2)[::2], np.array(pushes, dtype=np.int64)]
 
 
 @pytest.mark.parametrize("n", [3, 255, 256, 300])
@@ -274,6 +274,33 @@ def test_pushes_pack_alike_whatever_sequence_they_come_as(n):
     assert code._codewords.tolist() + [list(code.end)] == [list(p) for p in apply_sequence(start, pushes)]
     at_n = [n] * 3 + pushes  # above 255 only a tuple or an int64 array holds n
     assert perm.pack_pushes(at_n, n) == perm.pack_pushes(np.array(at_n), n)
+
+
+def test_packing_a_uint8_array_makes_no_int_per_push():
+    """The array is copied once to bytes; a list of its 1 M pushes would trace 8 MB."""
+    pushes = np.full(1 << 20, 3, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        packed = perm.pack_pushes(pushes, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert packed == bytes(pushes)
+    assert peak < 2 * len(pushes)
+
+
+def test_a_wide_array_is_read_an_int_at_a_time():
+    """A uint16 array, as the reader gives for a token past 255, is never held as a list."""
+    pushes = np.full(1 << 20, 3, dtype=np.uint16)
+    pushes[-1] = 300
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidTransitionError, match="^transition index 300 outside 2..3$"):
+            perm.pack_pushes(pushes, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("n", [3, 4])

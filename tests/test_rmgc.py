@@ -227,7 +227,6 @@ def test_build_rmgc_10_allocates_its_sequence_once():
     The 10! bytes are 3.5 MiB; a lift that fills an array and copies it to
     bytes holds them twice and traces 7.3 MiB.
     """
-    pack_pushes(b"\x02", 2)  # numpy's first use, outside the trace
     build_rmgc.cache_clear()
     tracemalloc.start()
     try:
