@@ -1,11 +1,13 @@
-"""The exact scan of every pair of codewords, the certificate's fallback.
+"""The exact scan of every pair of codewords.
 
 ``_pairdist`` certifies a code by the ranks of its codewords.  The codes
 the ranks cannot certify, those with n > 20 and those with no codeword
 near another and no consecutive pair at distance 2, take
 ``_pairwise_scan``: one chunked pass over every pair of rows, which
-computes the exact minimum and the first close pairs.  Kendall distances
-in the scan are popcounts of XORed order bitmaps: bit (u, v), u < v,
+computes the exact minimum and the first close pairs.  The few words of
+a code over at most five symbols take ``scan_words``, the same scan in
+pure Python, so certifying them loads no numpy.  Kendall distances in
+both scans are popcounts of XORed order bitmaps: bit (u, v), u < v,
 records whether u precedes v.
 """
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from ._numpy import np
-from .perm import Perm
+from .perm import Perm, linf_distance
 
 Violation = tuple[tuple[int, int], int]
 
@@ -28,6 +30,24 @@ def find_duplicate(codewords: Iterable[Perm]) -> tuple[int, int] | None:
             return (seen[c], j)
         seen[c] = j
     return None
+
+
+def scan_words(words: list[Perm], kendall: bool) -> tuple[int | None, list[Violation]]:
+    """``_pairwise_scan`` over tuples: the exact minimum, None below two words, and first close pairs."""
+    keys = words
+    if kendall:  # bit k·u + v, u < v, of word w set when u precedes v in w
+        k = len(words[0]) + 1 if words else 0
+        keys = [sum(1 << k * u + v for i, u in enumerate(w) for v in w[i + 1 :] if u < v) for w in words]
+    best = None
+    violations = []
+    for i, x in enumerate(keys):
+        for j in range(i + 1, len(keys)):
+            d = (x ^ keys[j]).bit_count() if kendall else linf_distance(x, keys[j])
+            if best is None or d < best:
+                best = d
+            if d < 2 and len(violations) < VIOLATION_CAP:
+                violations.append(((i, j), d))
+    return best, violations
 
 
 def _linf_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:

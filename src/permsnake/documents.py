@@ -233,8 +233,8 @@ def _parse_code(
     """The start a header and start line spell, and the pushes of the
     transition lines, checked against the header; the pushes are checked
     when their code is made."""
-    if cyclic and size < 1:
-        raise ParseError(f"a cyclic snake needs size >= 1, got size={size}")
+    if size < 1:
+        raise ParseError(f"a {'' if cyclic else 'non'}cyclic snake needs size >= 1, got size={size}")
     if len(head) < 2:
         # A one-codeword noncyclic code has no transition line.
         raise ParseError("snake document needs a start line")

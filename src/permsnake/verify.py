@@ -3,18 +3,21 @@
 ``verify_code`` recomputes everything from the transition sequence:
 cyclic closure from the last codeword of the walk that gives the
 codewords, and distinctness and the exact minimum distance over all
-pairs under the code's metric from one certificate (see ``_pairdist``)
-over that walk.  The certificate sorts the codewords' Lehmer ranks,
-which also yields the first repeated codeword, and looks up every
-codeword's radius-1 ball, so it is exact at every size; no verdict
+pairs under the code's metric.  A code over at most five symbols has at
+most 5! = 120 distinct codewords; one of at most that many is walked as
+tuples and every pair compared in pure Python (``_pairscan.scan_words``),
+so certifying it loads no numpy.  Every other code takes one certificate
+(see ``_pairdist``) over that walk: it sorts the codewords' Lehmer
+ranks, which also yields the first repeated codeword, and looks up every
+codeword's radius-1 ball.  Both are exact at every size; no verdict
 rests on a sample.
 
 ``exhaustive_max_snake`` is an independent oracle for tiny n: a full
 depth-first enumeration of snakes over push-to-the-top moves, used to
 confront the constructions and the packing bound with exact numbers.
 It numbers the at most 120 permutations of S_n, n <= 5, with
-``perm.reachable_table`` and masks their radius-1 balls from the
-certificate's neighbour tables (``_pairdist._ball``), which a test pins
+``perm.reachable_table`` and masks their radius-1 balls by looking each
+neighbour up in that numbering (``_ball_masks``), which a test pins
 against the distance functions: a child is admissible iff no path
 word's radius-1 ball holds it, one bit test of the path's blocked mask.
 """
@@ -27,6 +30,7 @@ from typing import Iterator
 
 from . import _pairdist
 from ._numpy import np
+from ._pairscan import find_duplicate, scan_words
 from .constructions import snake_upper_bound
 from .perm import (
     _SEGMENT,
@@ -34,11 +38,17 @@ from .perm import (
     METRIC_LINF,
     GrayCode,
     Perm,
+    apply_sequence,
     apply_transition,
     identity,
     reachable_table,
     undo_transition,
 )
+
+# A code over at most _PURE_N symbols with at most _PURE_N! codewords is
+# certified in pure Python: its pairs cost less than importing numpy.
+_PURE_N = 5
+_PURE_M = math.factorial(_PURE_N)
 
 
 @dataclass
@@ -115,15 +125,19 @@ def verify_code(code: GrayCode) -> SnakeReport:
     the code is made, so none reaches here.  The exact certificate runs
     over all m(m-1)/2 pairs, and the report says mode=exhaustive.
 
-    A code of at most one walk segment (``perm._SEGMENT`` pushes) is walked
-    whole into ``code._codewords``, which costs no more than the segment,
-    and the array certificate takes it.  A longer one is certified from
-    ``code.blocks()``, one segment at a time, and the same pass keeps the
-    last codeword for the closure check; no codeword array is made.  The
-    segmented path gives the same certificate at every size: the
-    one-segment array path exists only for perfbench's trace counters,
-    which span ``GrayCode._codewords`` and ``min_pairwise_*``, and goes
-    when the tracer does.
+    A code over at most ``_PURE_N`` = 5 symbols with at most 5! = 120
+    codewords is walked as tuples by ``perm.apply_sequence`` and every
+    pair compared by ``_pairscan.scan_words``, in pure Python: no numpy
+    loads, and the certificate equals the one ``_pairdist`` gives.  Any
+    other code of at most one walk segment (``perm._SEGMENT`` pushes) is
+    walked whole into ``code._codewords``, which costs no more than the
+    segment, and the array certificate takes it.  A longer one is
+    certified from ``code.blocks()``, one segment at a time, and the same
+    pass keeps the last codeword for the closure check; no codeword array
+    is made.  The segmented path gives the same certificate at every
+    size: the one-segment array path exists only for perfbench's trace
+    counters, which span ``GrayCode._codewords`` and ``min_pairwise_*``,
+    and goes when the tracer does.
     """
     m = code.size
     kendall = code.metric_tag == METRIC_KENDALL
@@ -136,7 +150,13 @@ def verify_code(code: GrayCode) -> SnakeReport:
                 last = tuple(rows[-1].tolist())
             yield rows
 
-    if m > _SEGMENT:
+    if code.n <= _PURE_N and m <= _PURE_M:
+        words = apply_sequence(code.start, code.pushes)[:m]
+        best, close = scan_words(words, kendall)
+        repeat = find_duplicate(words) if best == 0 else None
+        cert = _pairdist.Certificate(best, _pairdist._repeat_first(repeat, close), m * (m - 1) // 2)
+        last = words[-1] if m else last
+    elif m > _SEGMENT:
         cert = _pairdist._certify(blocks, m, code.n, kendall)
     else:
         words = code._codewords
@@ -179,7 +199,8 @@ def exhaustive_max_snake(
     distance < 2, the vertex itself included, by ``_ball_masks``).  The
     DFS keeps one blocked mask per path depth, the union of the path
     words' balls; a child is admissible iff its bit is clear, which rules
-    out a revisit and a close pair in one test.
+    out a revisit and a close pair in one test.  The witness is then
+    certified in pure Python, so the oracle loads no numpy.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -243,19 +264,30 @@ def exhaustive_max_snake(
 def _ball_masks(perms: list[Perm], kendall: bool) -> list[int]:
     """Each permutation's radius-1 ball, itself included, as a bitmask of indices into perms.
 
-    perms must be all of S_n, as the moves 2..n reach it.  Their Lehmer
-    ranks then number them, and ``_pairdist._ball`` gives every
-    neighbour's rank in one table per pair of values, with no distance
-    computed: at n = 5, 0.0005 s under either metric, against 0.017 s
-    (Chebyshev) and 0.046 s (Kendall) for the 14,400 distance calls of a
-    brute-force build (best of 5, 2-core x86-64 VM).
+    perms must be all of S_n, as the moves 2..n reach it, so every
+    neighbour is looked up in their numbering, with no distance computed.
+    A Chebyshev neighbour relabels the values by a value-swap matching of
+    1..n, a nonempty set of disjoint swaps of v and v+1; a Kendall one
+    swaps two adjacent positions.  At n = 5: 0.54 ms (Chebyshev) and 0.27
+    ms (Kendall), against 15.5 and 43.7 ms for the 14,400 distance calls
+    of a brute-force build (best of 5, 2-core x86-64 VM).
     """
-    rows = np.array(perms)
-    k = _pairdist._ranks(_pairdist._key(rows, kendall))
-    index = np.empty(len(perms), dtype=np.int64)
-    index[k] = np.arange(len(perms))
-    ball = [1 << u for u in range(len(perms))]
-    for cols, q in _pairdist._ball(_pairdist._key(rows, not kendall), k, kendall, both=True):
-        for c, u in zip(np.tile(cols, len(q) // len(cols)).tolist(), index[q].tolist()):
-            ball[c] |= 1 << u
+    n = len(perms[0])
+    ids = {p: u for u, p in enumerate(perms)}
+    # Each value-swap matching as a relabelling table: bit v-1 of pairs swaps v and v+1.
+    tables = []
+    for pairs in range(1, 1 << (n - 1)):
+        if not pairs & pairs >> 1:  # no two swaps share a value
+            table = list(range(n + 1))
+            for v in range(1, n):
+                if pairs >> (v - 1) & 1:
+                    table[v : v + 2] = v + 1, v
+            tables.append(table)
+    ball = []
+    for u, p in enumerate(perms):
+        if kendall:
+            near = [p[:a] + (p[a + 1], p[a]) + p[a + 2 :] for a in range(n - 1)]
+        else:
+            near = [tuple(map(table.__getitem__, p)) for table in tables]
+        ball.append(sum((1 << ids[q] for q in near), 1 << u))
     return ball
