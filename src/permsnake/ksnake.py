@@ -18,7 +18,7 @@ format is read and written in ``documents``, through the one entry that
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import pairwise, repeat
 from typing import Iterator, Sequence
 
 from .documents import KIND_KSNAKE, _document, parse_ksnake_fields
@@ -144,8 +144,9 @@ def search_ksnake(
     numbered once by ``perm.reachable_table`` and searched over integer
     ids; larger cosets (n >= 9) keep tuple vertices, and a frame makes
     each child only when it is tried.  The vertex kind changes neither
-    node order nor node count.  The path is one dict from each vertex to
-    the move that reached it, in path order.
+    node order nor node count.  Frames yield children, not moves, and the
+    path is one dict of its vertices in path order; the moves are rebuilt
+    from consecutive path vertices only when a snake is found.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
@@ -166,45 +167,49 @@ def search_ksnake(
     # Vertices that can close the cycle: preimages of the start.
     closers = {undo_transition(start, i): i for i in moves}
     if math.factorial(n) // 2 <= _NUMBERED_COSET:
-        ids, succ = reachable_table(start, moves)
+        ids, kids = reachable_table(start, moves)
         closers = {ids[p]: i for p, i in closers.items()}
         root: Perm | int = 0
 
-        def children(v: int) -> Iterator[tuple[int, int]]:
-            return iter(succ[v])
+        def children(v: int) -> Iterator[int]:
+            return iter(kids[v])
 
     else:
         root = start
 
-        def children(p: Perm) -> Iterator[tuple[int, Perm]]:
-            return zip(moves, map(apply_transition, repeat(p), moves))
+        def children(p: Perm) -> Iterator[Perm]:
+            return map(apply_transition, repeat(p), moves)
 
     nodes = 0
     exhausted = True
-    path: dict[Perm | int, int] = {root: 0}  # vertex -> the move to it (none for the root)
+    path: dict[Perm | int, None] = {root: None}  # the path's vertices, in path order
     found: list[int] | None = None
 
-    # Iterative DFS; each stack frame yields the still-untried (move, child)
-    # pairs of the path vertex at the same depth, in move order.
-    stack = [children(root)]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
+    # Iterative DFS; top yields the still-untried children of the last path
+    # vertex in move order, and stack holds the frames of the ones below it.
+    top, stack = children(root), []
+    while True:
+        for child in top:
+            if child not in path:
+                break
+        else:
+            if not stack:
+                break
+            top = stack.pop()
             path.popitem()
-            continue
-        move, child = step
-        if child in path:
             continue
         nodes += 1
         if nodes > budget:
             exhausted = False
             break
-        if len(path) + 1 >= target and child in closers:
-            found = [*path.values(), move, closers[child]][1:]
+        path[child] = None
+        if len(path) >= target and child in closers:
+            # Distinct moves give distinct children: b's place among a's is the move to it.
+            found = [moves[list(children(a)).index(b)] for a, b in pairwise(path)]
+            found.append(closers[child])
             break
-        path[child] = move
-        stack.append(children(child))
+        stack.append(top)
+        top = children(child)
 
     if stats is not None:
         stats["nodes"] = nodes

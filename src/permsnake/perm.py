@@ -83,24 +83,24 @@ def undo_transition(p: Perm, i: int) -> Perm:
 
 def reachable_table(
     start: Perm, moves: Sequence[int]
-) -> tuple[dict[Perm, int], list[tuple[tuple[int, int], ...]]]:
+) -> tuple[dict[Perm, int], list[tuple[int, ...]]]:
     """Number the permutations reachable from start by moves, breadth first.
 
     start is id 0 and ``ids`` keeps insertion order, so ``list(ids)`` maps
-    an id back to its permutation.  ``succ[v]`` lists v's (move, successor
-    id) pairs in the order of ``moves``.
+    an id back to its permutation.  ``kids[v]`` lists v's successor ids,
+    one per move, in the order of ``moves``.
 
-    >>> ids, succ = reachable_table(identity(3), (3, 2))
+    >>> ids, kids = reachable_table(identity(3), (3, 2))
     >>> len(ids), ids[(1, 2, 3)]
     (6, 0)
-    >>> succ[0]
-    ((3, 1), (2, 2))
+    >>> kids[0]
+    (1, 2)
     >>> list(ids)[1], list(ids)[2]
     ((3, 1, 2), (2, 1, 3))
     """
     ids = {start: 0}
     order = [start]
-    succ = []
+    kids = []
     for p in order:  # grows while it is walked: a breadth-first numbering
         out = []
         for i in moves:
@@ -108,9 +108,9 @@ def reachable_table(
             if q not in ids:
                 ids[q] = len(order)
                 order.append(q)
-            out.append((i, ids[q]))
-        succ.append(tuple(out))
-    return ids, succ
+            out.append(ids[q])
+        kids.append(tuple(out))
+    return ids, kids
 
 
 def apply_sequence(p: Perm, transitions: Sequence[int]) -> list[Perm]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import pairwise
 from typing import Iterator
 
 from . import _pairdist
@@ -199,8 +200,9 @@ def exhaustive_max_snake(
     distance < 2, the vertex itself included, by ``_ball_masks``).  The
     DFS keeps one blocked mask per path depth, the union of the path
     words' balls; a child is admissible iff its bit is clear, which rules
-    out a revisit and a close pair in one test.  The witness is then
-    certified in pure Python, so the oracle loads no numpy.
+    out a revisit and a close pair in one test.  Frames yield child ids,
+    and a witness's moves are rebuilt from its path when it is recorded.
+    The witness is certified in pure Python, so the oracle loads no numpy.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -210,54 +212,49 @@ def exhaustive_max_snake(
         raise ValueError(f"unknown metric {metric!r}")
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"need a node budget >= 0, got {node_budget}")
-    # succ[v] lists (move, id) by moves 2, 3, ..., n, the order children are tried in.
-    ids, succ = reachable_table(identity(n), range(2, n + 1))
+    # kids[v] lists v's child ids by moves 2, 3, ..., n, the order they are tried in.
+    ids, kids = reachable_table(identity(n), range(2, n + 1))
     perms = list(ids)
     ball = _ball_masks(perms, metric == METRIC_KENDALL)
     # The identity is id 0; Chebyshev tries every start in lexicographic order.
     starts = [0] if metric == METRIC_KENDALL else sorted(ids.values(), key=perms.__getitem__)
+    limit = math.inf if node_budget is None else node_budget
 
     best_size = 0
     best_witness: GrayCode | None = None
     nodes = 0
 
     for s in starts:
-        trail: list[int] = []
-        # blocked[d]: the ball union of the first d+1 path words, as a bitmask.
-        blocked = [ball[s]]
+        path = [s]
+        # mask: the ball union of the path words, so a child is admissible iff its bit is clear.
+        mask = ball[s]
         # The vertices one move away from closing the cycle, by that move.
         closers = {ids[undo_transition(perms[s], i)]: i for i in range(2, n + 1)}
-        stack = [iter(succ[s])]
+        top, stack = iter(kids[s]), []  # stack: the (frame, mask) of each path word below the last
         if not cyclic and best_size < 1:
             best_size, best_witness = 1, GrayCode(n, perms[s], (), False, metric)
-        while stack:
-            step = next(stack[-1], None)
-            if step is None:
-                stack.pop()
-                blocked.pop()
-                if trail:
-                    trail.pop()
+        while True:
+            for child in top:
+                nodes += 1
+                if nodes > limit or not mask >> child & 1:
+                    break
+            else:
+                if not stack:
+                    break
+                top, mask = stack.pop()
+                path.pop()
                 continue
-            move, child = step
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
+            if nodes > limit:
                 return best_size, best_witness
-            if blocked[-1] >> child & 1:
-                continue
-            trail.append(move)
-            blocked.append(blocked[-1] | ball[child])
-            size = len(blocked)
-            if cyclic:
-                close = closers.get(child)
-                if close is not None and size > best_size and size >= 2:
-                    best_size = size
-                    best_witness = GrayCode(
-                        n, perms[s], tuple(trail + [close]), True, metric
-                    )
-            elif size > best_size:
-                best_size = size
-                best_witness = GrayCode(n, perms[s], tuple(trail), False, metric)
-            stack.append(iter(succ[child]))
+            path.append(child)
+            size = len(path)
+            if size > best_size and (not cyclic or child in closers):
+                # Moves 2..n give distinct children: the move from a to b is kids[a].index(b) + 2.
+                trail = [kids[a].index(b) + 2 for a, b in pairwise(path)]
+                trail += [closers[child]] if cyclic else []
+                best_size, best_witness = size, GrayCode(n, perms[s], tuple(trail), cyclic, metric)
+            stack.append((top, mask))
+            top, mask = iter(kids[child]), mask | ball[child]
     return best_size, best_witness
 
 

@@ -10,9 +10,11 @@ Kendall-snake search as it was written before it numbered cosets up to
 vertices, above which a target is rejected.  ``search_ksnake`` must match
 its node count, exhaustion and snake.  The Kendall-snake search is also
 pinned by node counts, which any change to move order or pruning would
-move.
+move, and by a sha256 of each found snake's pushes, which pins the move
+trail it rebuilds from the path.
 """
 import functools
+import hashlib
 import itertools
 import tracemalloc
 
@@ -78,8 +80,8 @@ CASES = [
     for metric in ("linf", "kendall")
     for cyclic in (True, False)
     for n, budget in [
-        *((n, b) for n in (2, 3, 4) for b in (50, 1_000, None)),
-        *((5, b) for b in (50, 1_000, 20_000)),
+        *((n, b) for n in (2, 3, 4) for b in (0, 1, 50, 1_000, None)),
+        *((5, b) for b in (0, 1, 50, 1_000, 20_000)),
     ]
 ]
 
@@ -146,6 +148,10 @@ def tuple_ksnake_search(n, target, budget):
 KSNAKE_CASES = [
     *((n, t, b) for n in (3, 4) for t in (2, 3, 4) for b in (1, 1_000)),
     *((5, t, b) for t in (30, 57, 58) for b in (1_000, 30_000)),
+    # The budget edges of the (5, 57) search: its snake closes at node 1,478.
+    (5, 57, 0),
+    (5, 57, 1_477),
+    (5, 57, 1_478),
     *((6, t, b) for t in (20, 57, 61) for b in (1_000, 30_000)),
     *((n, t, b) for n in (7, 8) for t in (100, 1_000, 2_515) for b in (1_000, 100_000)),
     # n = 9 searches tuple vertices, so budgets stay small.
@@ -167,20 +173,30 @@ def test_ksnake_search_matches_the_tuple_search(case):
     assert got == tuple_ksnake_search(n, target, budget)
 
 
-# (n, target, budget) -> (nodes, exhausted, snake size or None)
+# (n, target, budget) -> (nodes, exhausted, snake size or None, sha256 of its pushes)
 KSNAKE_PINS = {
-    (5, 57, 1_000_000): (1_478, False, 57),
-    (5, 58, 30_000): (30_001, False, None),
-    (7, 100, 1_000_000): (120, False, 105),
-    (7, 2_515, 500_000): (500_001, False, None),
-    (8, 100, 1_000_000): (120, False, 105),
-    (4, 4, 1_000_000): (0, True, None),
-    (9, 1_000, 20_000): (20_001, False, None),
-    (8, 2_521, 100_000): (0, True, None),
-    (10, 181_441, 100_000): (0, True, None),
+    (5, 57, 1_000_000): (
+        1_478, False, 57, "65fc69413f79b5d07e9990c950bac0173d8a0a92eb6c9f4b02f6e66f47bd7501"
+    ),
+    (5, 58, 30_000): (30_001, False, None, None),
+    (7, 100, 1_000_000): (
+        120, False, 105, "e7d26646d7a21fdcacb7125cc9269f7c23c8d9df4efe45e9eae366b3494846d8"
+    ),
+    (7, 2_515, 500_000): (500_001, False, None, None),
+    (8, 100, 1_000_000): (
+        120, False, 105, "e7d26646d7a21fdcacb7125cc9269f7c23c8d9df4efe45e9eae366b3494846d8"
+    ),
+    (4, 4, 1_000_000): (0, True, None, None),
+    (9, 1_000, 20_000): (20_001, False, None, None),
+    (8, 2_521, 100_000): (0, True, None, None),
+    (10, 181_441, 100_000): (0, True, None, None),
     # Tuple vertices past n = 9, where the reference's BFS cannot number the coset.
-    (11, 1_000, 20_000): (1_076, False, 1_041),
-    (16, 1_000, 20_000): (2_186, False, 2_187),
+    (11, 1_000, 20_000): (
+        1_076, False, 1_041, "9ff4caa67c5233213f4491f9d335613015f99e1c40e9c4b48ea906a8c24c8424"
+    ),
+    (16, 1_000, 20_000): (
+        2_186, False, 2_187, "902b56a43c666dcc623e80707709ffd398780882887fa91c9ced60e995cee9ba"
+    ),
 }
 
 
@@ -191,24 +207,27 @@ def test_ksnake_search_is_pinned(case):
     n, target, budget = case
     stats = {}
     snake = search_ksnake(n, target, budget=budget, stats=stats)
-    nodes, exhausted, size = KSNAKE_PINS[case]
+    nodes, exhausted, size, digest = KSNAKE_PINS[case]
     assert (stats["nodes"], stats["exhausted"]) == (nodes, exhausted)
     assert (None if snake is None else snake.size) == size
     if snake is not None:
+        assert hashlib.sha256(bytes(snake.pushes)).hexdigest() == digest
         assert verify_snake(snake).valid
 
 
 def test_tuple_vertex_frames_make_each_child_only_when_it_is_tried():
-    # A frame per path depth holds an iterator over its moves, not a list of
-    # child tuples: this 20,000-node search at n = 16 peaks at about 13 MiB
-    # under tracemalloc, and at 29 MiB when every frame lists its children.
+    # A frame per path depth is one map over its moves, yielding children
+    # only, not a list of child tuples: this 20,000-node search at n = 16
+    # peaks at about 7.7 MiB under tracemalloc, at 12.7 MiB when each frame
+    # also zips the moves in and the path maps each vertex to its move, and
+    # at 29 MiB when every frame lists its children.
     tracemalloc.start()
     try:
         assert search_ksnake(16, 10**6, budget=20_000) is None
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 20 * 2**20
+    assert peak <= 10 * 2**20
 
 
 def test_search_arguments_are_bounded_before_anything_is_built():
