@@ -21,33 +21,33 @@ write a document without holding it as one string; ``format_*`` join the
 chunks.  Transition lines and the codeword listing are written by one
 bytes token writer, ``_text_chunks``, from a code's packed pushes and a
 listing's rows as bytes (from ``GrayCode.blocks()``, one walk segment at
-a time), so writing loads no numpy, and read back by one vectorised
-token reader, ``_reader._read_ints``; a listing is read into one array
+a time), so writing loads no numpy.  A listing is read into one array
 and compared with the walk a segment at a time.  The reader hands
 transitions on as its array, and ``GrayCode`` and ``RmgcSequence`` check
 and pack them.
 
 Every document is read by one entry, ``_document``, from a binary file:
 ``read_document``, ``verify``, ``import-ksnake`` and ``--ksnake`` open
-a file for it and the ``parse_*`` helpers hand it their text's bytes.
-It reads the head lines that the kind's record in ``_KINDS`` names, and
-``_reader._numbers`` tokenises the lines after them, cut at the listing
-marker, from pieces of the file, so neither its text nor a list of its
-lines is held.  A file with a byte that reader does not take (anything
-but printable ASCII in the head, or anything but ASCII digits, spaces
-and newlines after it, bar one ``codewords:`` line, or a token of more
-than 18 digits) is read again as a text file reads (UTF-8, universal
-newlines) and parsed line by line and token by token, so that the first
-malformed token or line is the one named.
+a file for it, a pipe included, and the ``parse_*`` helpers hand it
+their text's bytes.  One reader, ``_reader._read``, takes the head lines
+that the kind's record in ``_KINDS`` names, then the integers of the
+lines after them, cut at the listing marker, from pieces of the file, so
+neither its text nor a list of its lines is held.  numpy tokenises
+pieces of ASCII digits, spaces, tabs and ``\\n`` or ``\\r`` line ends;
+any other piece is decoded as UTF-8 and read under the ``str`` rules of
+a text file (universal newlines, ``parse_transitions`` and
+``parse_perm`` tokens), and its first malformed token or line is raised
+when the kind's parser reads that section, so every outcome is that of
+the file read as a text file reads and parsed line by line.
 """
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Any, BinaryIO, Callable, Iterator, Sequence, TypeAlias
+from typing import Any, BinaryIO, Callable, Iterator, Sequence
 
 from ._numpy import np
-from ._reader import _NEWLINE, _Numbers, _numbers
+from ._reader import _NEWLINE, _Numbers, _read
 from .errors import ParseError, VerificationError
 from .perm import (
     METRIC_KENDALL,
@@ -56,17 +56,14 @@ from .perm import (
     check_perm,
     format_perm,
     parse_perm,
-    parse_transitions,
 )
 from .rmgc import RmgcSequence
 
 _WRAP = 30  # transition tokens per line
 _CHUNK_TOKENS = 1 << 16  # about this many tokens are written at a time
 _MARKER = "codewords:"
-_HEAD_BYTES = bytes(range(0x20, 0x7F)) + b"\n"  # printable ASCII, and a line's end
 # The hundreds, tens and units digit of each byte value, 0 for a leading zero.
 _DIGITS = tuple(bytes(48 + v // s % 10 if v >= s or s == 1 else 0 for v in range(256)) for s in (100, 10, 1))
-_Section: TypeAlias = "_Numbers | list[str]"  # lines of integers: the piece reader's numbers, or the text lines
 
 KIND_SNAKE = "snake"
 KIND_KSNAKE = "ksnake"
@@ -130,56 +127,19 @@ def _document(fh: BinaryIO, kind: str | None) -> tuple[str, Any]:
     """The kind of the document in a binary file, or the kind required, and
     what that kind's parser makes of it.
 
-    The file is read in pieces (``_read``); one that cannot seek, such as
-    a pipe, is read whole first.  A file the piece reader refuses is read
-    again as a text file reads (UTF-8, universal newlines) and parsed line
-    by line, so every outcome, every error included, is that of the text.
+    ``_reader._read`` reads the file in pieces: the head lines the kind's
+    record names, then the numbers of the lines after them, cut at its
+    marker.  A malformed token or line is raised by the kind's parser as
+    it reads that section, so every outcome, every error included, is that
+    of the file read as a text file reads (UTF-8, universal newlines) and
+    parsed line by line.
     """
-    data = fh if fh.seekable() else io.BytesIO(fh.read())
-    read = _read(data)
-    if read is None:
-        data.seek(0)  # to read it again, as a text file reads
-        text = data.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        kind = kind or detect_kind(text)
-        if kind not in _KINDS:
-            raise ParseError(f"unrecognised document kind {kind!r}")
-        _, want, marker = _KINDS[kind]
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        cut = lines.index(_MARKER, want) if marker and _MARKER in lines[want:] else len(lines)
-        read = (kind, lines[:want], lines[want:cut], lines[cut + 1 :] if cut < len(lines) else None)
-    kind = kind or read[0]
-    return kind, _KINDS[kind][0](*read[1:])
-
-
-def _read(fh: BinaryIO) -> tuple[str, list[str], _Numbers, _Numbers | None] | None:
-    """A document's kind, nonblank head lines, and the numbers of the lines
-    after them and after its marker, read from a binary file; None if a
-    head line is not printable ASCII, names no kind, or is missing, or if
-    ``_reader._numbers`` refuses the rest."""
-    kind, want, marker, head = "", 1, None, []
-    while len(head) < want:
-        line = fh.readline()
-        if not line or line.translate(None, _HEAD_BYTES):
-            return None
-        if line.strip(b" \n"):
-            head.append(line.decode().rstrip("\n"))
-            kind = head[0].split()[0]
-            if kind not in _KINDS:
-                return None
-            _, want, marker = _KINDS[kind]
-    numbers = _numbers(fh, marker)
-    return None if numbers is None else (kind, head, *numbers)
-
-
-def _packed_transitions(body: _Section) -> np.ndarray | tuple[int, ...]:
-    """The transitions the reader read, or those of text lines as a tuple,
-    for ``GrayCode`` or ``RmgcSequence`` to check and pack.
-
-    A malformed token raises the ParseError ``parse_transitions`` gives.
-    """
-    if isinstance(body, list):
-        return _parsed(parse_transitions, " ".join(body))
-    return body[0]
+    # The first head line names the kind, unless one is required; an unknown kind has one head line.
+    head, body, listing = _read(fh, lambda first: _KINDS.get(kind or detect_kind(first), (None, 1, None))[1:])
+    kind = kind or detect_kind(head[0] if head else "")
+    if kind not in _KINDS:
+        raise ParseError(f"unrecognised document kind {kind!r}")
+    return kind, _KINDS[kind][0](head, body, listing)
 
 
 def document_chunks(doc: CodeDocument, include_codewords: bool = False) -> Iterator[str]:
@@ -228,8 +188,8 @@ def _parsed(parse: Callable[..., Any], *args: Any) -> Any:
 
 
 def _parse_code(
-    head: list[str], body: _Section, n: int, size: int, cyclic: bool
-) -> tuple[tuple[int, ...], np.ndarray | tuple[int, ...]]:
+    head: list[str], body: _Numbers, n: int, size: int, cyclic: bool
+) -> tuple[tuple[int, ...], np.ndarray]:
     """The start a header and start line spell, and the pushes of the
     transition lines, checked against the header; the pushes are checked
     when their code is made."""
@@ -241,7 +201,9 @@ def _parse_code(
     start = _parsed(parse_perm, head[1])
     if len(start) != n:
         raise ParseError(f"start has {len(start)} values but header says n={n}")
-    pushes = _packed_transitions(body)
+    pushes, _, error = body
+    if error:
+        raise error
     expected_len = size if cyclic else size - 1
     if len(pushes) != expected_len:
         raise ParseError(
@@ -261,7 +223,7 @@ def parse_document(text: str) -> CodeDocument:
     return _document(io.BytesIO(text.encode()), KIND_SNAKE)[1]
 
 
-def _snake(head: list[str], body: _Section, listing: _Section | None) -> CodeDocument:
+def _snake(head: list[str], body: _Numbers, listing: _Numbers | None) -> CodeDocument:
     fields, (n, size) = _header(head, KIND_SNAKE, "n", "size")
     try:
         metric = fields["metric"]
@@ -288,29 +250,25 @@ def _snake(head: list[str], body: _Section, listing: _Section | None) -> CodeDoc
     return CodeDocument(code, fields.get("method", "unknown"))
 
 
-def _listed(listing: _Section, n: int) -> np.ndarray:
+def _listed(listing: _Numbers, n: int) -> np.ndarray:
     """The codewords a listing names, as one (m, n) integer array.
 
-    A malformed line raises the ParseError ``parse_perm`` gives, for the
-    first such line.  A well-formed line of another length than n matches
-    no codeword, so it reads as a row of zeros, which matches none either.
+    A line that is no permutation, or the malformed line the reader kept,
+    raises the ParseError ``parse_perm`` gives, for the first such line.  A
+    well-formed line of another length than n matches no codeword, so it
+    reads as a row of zeros, which matches none either.
     """
-    if isinstance(listing, list):
-        perms = _parsed(list, map(parse_perm, listing))
-    else:
-        values, counts = listing
-        counts = counts[counts > 0]  # the nonblank lines
-        if (counts == n).all():
-            listed = values.reshape(len(counts), n)
-            if (np.sort(listed, axis=1) == np.arange(1, n + 1)).all():
-                return listed
+    values, counts, error = listing  # the lines before the malformed one, if the reader kept one
+    listed = values.reshape(len(counts), n) if (counts == n).all() else None
+    if listed is None or not (np.sort(listed, axis=1) == np.arange(1, n + 1)).all():
         # Some line is of another length or no permutation: check line by line.
         lines = np.split(values, np.cumsum(counts)[:-1])
         perms = _parsed(list, map(check_perm, (line.tolist() for line in lines)))
-    zeros = (0,) * n
-    return np.array(
-        [p if len(p) == n else zeros for p in perms], dtype=np.int64
-    ).reshape(len(perms), n)
+        zeros = (0,) * n
+        listed = np.array([p if len(p) == n else zeros for p in perms], dtype=np.int64).reshape(len(perms), n)
+    if error:
+        raise error
+    return listed
 
 
 def ksnake_chunks(snake: GrayCode) -> Iterator[str]:
@@ -334,7 +292,7 @@ def parse_ksnake_fields(text: str) -> GrayCode:
     return _document(io.BytesIO(text.encode()), KIND_KSNAKE)[1]
 
 
-def _ksnake(head: list[str], body: _Section, _: None) -> GrayCode:
+def _ksnake(head: list[str], body: _Numbers, _: None) -> GrayCode:
     _, (n, size) = _header(head, KIND_KSNAKE, "n", "size")
     if len(head[0].split()) != 3:  # fields other than n and size
         raise ParseError(f"bad ksnake header: {head[0]!r}")
@@ -355,9 +313,11 @@ def parse_rmgc_document(text: str) -> RmgcSequence:
     return _document(io.BytesIO(text.encode()), KIND_RMGC)[1]
 
 
-def _rmgc(head: list[str], body: _Section, _: None) -> RmgcSequence:
+def _rmgc(head: list[str], body: _Numbers, _: None) -> RmgcSequence:
     _, (n, length) = _header(head, KIND_RMGC, "n", "len")
-    seq = _packed_transitions(body)
+    seq, _, error = body
+    if error:
+        raise error
     if len(seq) != length:
         raise ParseError(f"header says len={length} but {len(seq)} transitions follow")
     return _parsed(RmgcSequence, n, seq)
@@ -365,4 +325,4 @@ def _rmgc(head: list[str], body: _Section, _: None) -> RmgcSequence:
 
 # Each kind's record: its parser, from its head lines and sections, its head
 # lines (header, and start line but for rmgc) and its listing marker.
-_KINDS = {KIND_SNAKE: (_snake, 2, _MARKER.encode()), KIND_KSNAKE: (_ksnake, 2, None), KIND_RMGC: (_rmgc, 1, None)}
+_KINDS = {KIND_SNAKE: (_snake, 2, _MARKER), KIND_KSNAKE: (_ksnake, 2, None), KIND_RMGC: (_rmgc, 1, None)}

@@ -148,8 +148,8 @@ def pack_pushes(pushes: Sequence[int], n: int) -> bytes | tuple[int, ...]:
             view = memoryview(pushes)
         except TypeError:  # a list or tuple of ints
             pass
-        else:  # an array: through a one-byte buffer, else an int at a time, never as a list
-            values = view.tobytes() if view.format == "B" else view
+        else:  # an array: through a one-byte buffer, else an int at a time (one of Python ints itself), never as a list
+            values = view.tobytes() if view.format == "B" else pushes if view.format == "O" else view
         if n <= 255 and not isinstance(values, bytes):
             try:
                 values = bytes(iter(values))

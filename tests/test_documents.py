@@ -1,18 +1,19 @@
+import io
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from permsnake._reader import _read_ints
+from permsnake import _reader
 from permsnake.blocks import rmgc_block
 from permsnake.constructions import GrayCode, snake_from_rmgc
 from permsnake.documents import (
     CodeDocument,
     _listed,
-    _packed_transitions,
     _text_chunks,
     detect_kind,
     format_document,
@@ -351,16 +352,23 @@ def outcome(parse, *args):
         return "error", str(exc)
 
 
+def sections(text, marker=None):
+    """The two sections the document reader reads from text after a one-line
+    head, cut at a marker line: in pieces of the default size, and in
+    pieces of about 8 bytes, a line or so each."""
+    for piece in (_reader._SLICE, 8):
+        with mock.patch.object(_reader, "_SLICE", piece):
+            yield _reader._read(io.BytesIO(f"head\n{text}".encode()), lambda line: (1, marker))[1:]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(tokens(), st.sampled_from(_SEPARATORS)), max_size=40))
 def test_token_reader_matches_parse_transitions(spelled):
-    lines = nonblank_lines("".join(tok + sep for tok, sep in spelled))
-    expected = outcome(parse_transitions, " ".join(lines))
-    assert outcome(lambda: tuple(_packed_transitions(lines))) == expected
-    # The vectorised reader reads the same values, or refuses the text.
-    read = _read_ints([np.frombuffer(("\n".join(lines) + "\n").encode(), np.uint8)])
-    if read is not None:
-        assert tuple(_packed_transitions(read).tolist()) == expected
+    text = "".join(tok + sep for tok, sep in spelled)
+    expected = outcome(parse_transitions, " ".join(nonblank_lines(text)))
+    # The values the reader read, or the first malformed token, raised as the transitions are read.
+    for (values, _, error), _ in sections(text):
+        assert (("error", str(error)) if error else tuple(values.tolist())) == expected
 
 
 def reference_listed(listing, n):
@@ -395,8 +403,6 @@ def listings(draw):
 def test_listing_reader_matches_parse_perm(listing_n):
     listing, n = listing_n
     expected = outcome(reference_listed, listing, n)
-    assert outcome(lambda: _listed(listing, n).tolist()) == expected
-    # From the vectorised reader's numbers, the same rows or the same error.
-    read = _read_ints([np.frombuffer(("\n".join(listing) + "\n").encode(), np.uint8)])
-    if read is not None:
-        assert outcome(lambda: _listed(read, n).tolist()) == expected
+    # From the reader's numbers, the same rows or the same error.
+    for _, numbers in sections("codewords:\n" + "\n".join(listing) + "\n", "codewords:"):
+        assert outcome(lambda: _listed(numbers, n).tolist()) == expected

@@ -1,17 +1,21 @@
-"""Documents are read in pieces, and fall back to the text path.
+"""Every document is read in pieces, by one reader.
 
 ``documents._document``, the one entry of ``verify``, ``import-ksnake``,
-``construct --ksnake`` and the ``parse_*`` helpers, tokenises a
-document's integer lines from newline-aligned pieces of the file's
-bytes.  Whatever the bytes, the outcome of each command (exit code,
-stdout and stderr) must be the one the text path gives: the file read as
-a text file reads, then parsed line by line.  The oracle below is the
-same command with the piece reader refusing every file.  Pieces are cut
-small here as well, so that lines and the ``codewords:`` marker fall
+``construct --ksnake`` and the ``parse_*`` helpers, reads a document
+with ``_reader._read``, from pieces of the file's bytes that end at line
+ends: numpy tokenises pieces of digits, spaces, tabs and line ends, and
+any other piece is decoded and read under the ``str`` rules.  Whatever
+the bytes, the outcome of each command (exit code, stdout and stderr)
+must be the one the text path gives: the whole file read as a text file
+reads, then parsed line by line.  The oracle below is the same command
+with ``text_read``, that text path, in place of the reader.  Pieces are
+cut small here as well, so that lines and the ``codewords:`` marker fall
 across piece edges, and a start line is longer than a piece.
 """
 import io
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from permsnake import _reader, documents
@@ -32,6 +36,7 @@ from permsnake.documents import (
 )
 from permsnake.errors import ParseError
 from permsnake.ksnake import embedded_a5_snake, format_ksnake
+from permsnake.perm import parse_perm, parse_transitions
 from permsnake.rmgc import build_rmgc
 
 SNAKE = format_document(CodeDocument(snake_from_rmgc(7), "thm1"), True).encode()
@@ -107,17 +112,45 @@ def run_file(tmp_path, capsys, data, command=VERIFY):
     return rc, captured.out, captured.err
 
 
+def text_read(fh, layout):
+    """What ``_reader._read`` gives, as the text path reads it: the whole
+    file decoded as UTF-8 with universal newlines and its blank lines
+    dropped; the head lines; the lines after them up to the first marker
+    line, parsed with ``parse_transitions``; and the lines after the
+    marker, parsed with ``parse_perm``."""
+    text = fh.read().decode().replace("\r\n", "\n").replace("\r", "\n")
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    want, marker = layout(lines[0]) if lines else (1, None)
+    cut = lines.index(marker, want) if marker in lines[want:] else len(lines)
+    listing = parsed_lines(parse_perm, lines[cut + 1 :]) if cut < len(lines) else None
+    return lines[:want], parsed_lines(parse_transitions, lines[want:cut]), listing
+
+
+def parsed_lines(parse, lines):
+    """The values of lines as parse reads them, how many each line holds,
+    and the error of the first line parse refuses, with the lines before it."""
+    rows, error = [], None
+    for line in lines:
+        try:
+            rows.append(parse(line))
+        except ValueError as exc:
+            error = ParseError(str(exc))
+            break
+    values = np.array([v for row in rows for v in row], dtype=object)
+    return values, np.array([len(row) for row in rows], dtype=np.int64), error
+
+
 @pytest.mark.parametrize("piece", [8, 64, 1 << 16])
 @pytest.mark.parametrize("command, name", COMMANDS)
 def test_verify_reads_as_the_text_path(tmp_path, capsys, monkeypatch, command, name, piece):
     monkeypatch.setattr(_reader, "_SLICE", piece)
     got = run_file(tmp_path, capsys, VARIANTS[name], command)
-    monkeypatch.setattr(documents, "_read", lambda fh: None)
+    monkeypatch.setattr(documents, "_read", text_read)
     assert got == run_file(tmp_path, capsys, VARIANTS[name], command)
 
 
 @pytest.mark.parametrize(
-    "name, refused",
+    "name, by_str",
     [
         ("snake", False), ("rmgc", False), ("ksnake", False), ("snake blank lines", False),
         ("snake no final newline", False), ("listing blank lines", False), ("marker last", False),
@@ -125,13 +158,35 @@ def test_verify_reads_as_the_text_path(tmp_path, capsys, monkeypatch, command, n
         ("snake space-only lines after the header", False),
         ("ksnake space-only lines after the header", False),
         ("rmgc space-only lines after the header", False),
-        ("snake crlf", True), ("snake tabs", True), ("snake t pushes", True),
-        ("snake non-utf-8 byte", True), ("snake 19 digits", True), ("listing t", True),
-        ("marker not a line", True), ("marker twice", True), ("unknown kind", True), ("empty", True),
+        ("snake crlf", False), ("snake cr", False), ("rmgc crlf", False), ("ksnake cr", False),
+        ("snake tabs", False), ("listing tabs", False), ("unknown kind", False), ("empty", False),
+        ("snake t pushes", True), ("snake non-utf-8 byte", True), ("snake 19 digits", True),
+        ("snake vertical tab", True), ("snake non-ascii digit", True), ("listing t", True),
+        ("marker not a line", True), ("marker twice", True),
     ],
 )
-def test_the_piece_reader_takes_digits_and_spaces(name, refused):
-    assert (documents._read(io.BytesIO(VARIANTS[name])) is None) == refused
+def test_the_piece_reader_takes_digits_and_spaces(monkeypatch, name, by_str):
+    """numpy reads every line after the head lines but the marker, unless a
+    piece holds a byte other than ASCII digits, spaces, tabs and line ends,
+    or a token of more than 18 digits: that piece is decoded as UTF-8, or
+    refused, and its nonblank lines are read under the str rules."""
+    read = []
+
+    def spy(parse):
+        def parse_line(line):
+            if line.strip():
+                read.append(line)
+            return parse(line)
+
+        return parse_line
+
+    for parser in ("parse_transitions", "parse_perm"):
+        monkeypatch.setattr(_reader, parser, spy(getattr(_reader, parser)))
+    try:
+        documents._document(io.BytesIO(VARIANTS[name]), None)
+    except ValueError as exc:  # the document's own fault, or a byte that is not UTF-8
+        read += [exc] if "codec can't decode" in str(exc) else []
+    assert bool(read) == by_str
 
 
 def test_a_non_utf8_byte_is_named_as_the_text_file_names_it(tmp_path, capsys):
@@ -151,16 +206,20 @@ def test_a_non_utf8_byte_is_named_as_the_text_file_names_it(tmp_path, capsys):
     ],
 )
 def test_verify_reads_a_file_that_cannot_seek(tmp_path, capsys, monkeypatch, command, name):
-    # Such a file is read whole first, so that the text path can read it again.
     data = VARIANTS[name]
     expected = run_file(tmp_path, capsys, data, command)
 
-    class Pipe(io.BytesIO):
-        def seekable(self):
-            return False
+    class Pipe:
+        """A file that can only be read, front to back: no seek, tell or readline."""
 
-        def seek(self, *args):
-            raise io.UnsupportedOperation("seek")
+        def __init__(self, data):
+            self.read = io.BytesIO(data).read
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
 
     monkeypatch.setattr("builtins.open", lambda path, mode="r", *args, **kwargs: Pipe(data))
     assert run_file(tmp_path, capsys, data, command) == expected
@@ -196,3 +255,21 @@ def test_strings_parse_as_files_do(tmp_path, kind, text):
     path.write_bytes(text.encode())
     expected = outcome(lambda: read_document(str(path))[1])
     assert outcome(PARSE[kind], text) == expected
+
+
+def test_crlf_and_tab_documents_read_in_the_memory_of_lf(tmp_path):
+    """CRLF and tab copies of the 9-RMGC document (362,880 pushes) are read
+    in pieces like the LF one, with no copy of the text or list of lines."""
+    lf = format_rmgc_document(build_rmgc(9)).encode()
+    peaks = {}
+    for name, data in (("lf", lf), ("crlf", lf.replace(b"\n", b"\r\n")), ("tabs", lf.replace(b" ", b"\t"))):
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(data)
+        assert read_document(str(path))[1] == build_rmgc(9)
+        tracemalloc.start()
+        try:
+            read_document(str(path))
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["crlf"] <= 1.1 * peaks["lf"] and peaks["tabs"] <= 1.1 * peaks["lf"], peaks
